@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from .numeric import PRIME_FIELD, AmbientRing, CapExceededError
 
@@ -24,10 +23,6 @@ MULTIPLICATIVE = "multiplicative"
 
 # Cap on the number of digit vectors a single enumeration may touch.
 DEFAULT_ENUM_CAP = 1 << 24
-
-# Exhaustive bipartition fallback cost grows like (|D|+1)^d; past this
-# dimension we refuse rather than stall.
-_SPLIT_EXHAUSTIVE_MAX_D = 12
 
 
 @dataclass(frozen=True)
@@ -238,24 +233,18 @@ def is_symmetric(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> bool:
     return all(ring.sub(w, v) in values for v in values)
 
 
-def _subcube_size(spec: CubeSpec, indices, cap: int) -> int:
-    return len(_value_set(subcube(spec, indices), cap))
-
-
 def split_balanced(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP):
     """Bipartition [d] = X | Y with |Q(X)| <= |Q(Y)| <= |D| * |Q(X)|.
 
     Greedy pass: each generator joins the side whose current subcube is
-    smaller (ties go to X).  Adding one generator multiplies a side's size
-    by at most |D|, so the two sizes can never drift past a factor |D|;
-    an exhaustive scan over bipartitions is kept as a belt-and-braces
-    fallback for small d.
+    smaller (ties go to X).  Digits contain 0, so adding a generator never
+    shrinks a side and multiplies it by at most |D|; growing the smaller
+    side therefore keeps the larger within a factor |D| of the smaller.
     """
     ring = spec.ring
-    d = spec.dimension
     sides: list[set] = [{spec.a0}, {spec.a0}]
     index_sides: list[list[int]] = [[], []]
-    if len(spec.digits) ** d > cap:
+    if len(spec.digits) ** spec.dimension > cap:
         raise CapExceededError("subcube enumeration exceeds cap")
     for j, g in enumerate(spec.generators):
         pick = 0 if len(sides[0]) <= len(sides[1]) else 1
@@ -270,19 +259,5 @@ def split_balanced(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP):
     if len(sides[0]) > len(sides[1]):
         sides.reverse()
         index_sides.reverse()
-    if len(sides[1]) <= len(spec.digits) * len(sides[0]):
-        return tuple(index_sides[0]), tuple(index_sides[1])
-    # Unreachable by the size argument above; scan bipartitions anyway.
-    if d > _SPLIT_EXHAUSTIVE_MAX_D:
-        raise CapExceededError("balanced split fallback infeasible at this dimension")
-    everything = list(range(d))
-    for r in range(d + 1):
-        for xs in combinations(everything, r):
-            ys = tuple(i for i in everything if i not in xs)
-            sx = _subcube_size(spec, xs, cap)
-            sy = _subcube_size(spec, ys, cap)
-            if sx <= sy <= len(spec.digits) * sx:
-                return xs, ys
-            if sy <= sx <= len(spec.digits) * sy:
-                return ys, xs
-    raise AssertionError("no balanced bipartition found; this contradicts the size argument")
+    assert len(sides[1]) <= len(spec.digits) * len(sides[0]), "greedy split lost its balance"
+    return tuple(index_sides[0]), tuple(index_sides[1])

@@ -14,6 +14,7 @@ too, next to the floor/ceiling exponent bounds they calibrate.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -25,7 +26,7 @@ from .setops import (
     RATIO,
     SUM,
     _convolve_counts,
-    pairwise,
+    _pair_keys,
 )
 
 BRUTE_FORCE_THRESHOLD = 10**4
@@ -51,6 +52,11 @@ class EnergyReport:
 
 def _sum_sq(counts: dict) -> int:
     return sum(c * c for c in counts.values())
+
+
+def _pair_energy(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int = 2) -> int:
+    """Sum over x of r(x)^k, r the representation counts of A op B."""
+    return sum(c**k for c in Counter(_pair_keys(op, A, B, cap)).values())
 
 
 def _brute_pair_energy(mode: str, A: FiniteSet, B: FiniteSet) -> int:
@@ -106,19 +112,14 @@ def energy_pair(
     if A.ring != B.ring:
         raise ValueError("operands live in different rings")
     if mode == ADDITIVE:
-        _, m1 = pairwise(SUM, A, B, cap=cap)
-        _, m2 = pairwise(DIFF, A, B, cap=cap)
-        value, other = _sum_sq(m1.counts), _sum_sq(m2.counts)
-        if value != other:
+        value = _pair_energy(SUM, A, B, cap)
+        if value != _pair_energy(DIFF, A, B, cap):
             raise AssertionError("sum and difference energy routes disagree")
         kind = "eplus"
     elif mode == MULTIPLICATIVE:
-        _, m1 = pairwise(PROD, A, B, cap=cap)
-        value = _sum_sq(m1.counts)
-        if 0 not in B:
-            _, m2 = pairwise(RATIO, A, B, cap=cap)
-            if value != _sum_sq(m2.counts):
-                raise AssertionError("product and ratio energy routes disagree")
+        value = _pair_energy(PROD, A, B, cap)
+        if 0 not in B and value != _pair_energy(RATIO, A, B, cap):
+            raise AssertionError("product and ratio energy routes disagree")
         kind = "etimes"
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -140,14 +141,13 @@ def energy_k(mode: str, A: FiniteSet, k: int, *, cap: int = DEFAULT_PAIR_CAP) ->
     if k < 2:
         raise ValueError("k must be at least 2")
     if mode == ADDITIVE:
-        _, m = pairwise(DIFF, A, A, cap=cap)
+        value = _pair_energy(DIFF, A, A, cap, k)
     elif mode == MULTIPLICATIVE:
         if 0 in A:
             raise ValueError("multiplicative k-energy needs 0 outside the set")
-        _, m = pairwise(RATIO, A, A, cap=cap)
+        value = _pair_energy(RATIO, A, A, cap, k)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    value = sum(c**k for c in m.counts.values())
     return EnergyReport(kind="ek", k=k, value=value, inputs=(f"A[{len(A)}]",), method="convolution")
 
 

@@ -466,15 +466,25 @@ def run_task(task: dict) -> ExperimentRecord:
     raise ValueError(f"unknown task kind {kind!r}")
 
 
+def _read_log(path: Path) -> tuple[list[ExperimentRecord], bytes]:
+    """The records of a log and its bytes up to the end of the last one.
+
+    A last line with no newline that is not valid JSON is a record torn by
+    an interrupted write; it is left out of both.  A malformed line
+    anywhere else raises.
+    """
+    data = path.read_bytes() if path.exists() else b""
+    lines = data.split(b"\n")
+    if lines[-1].strip():
+        try:
+            json.loads(lines[-1])
+        except json.JSONDecodeError:
+            data = data[: len(data) - len(lines.pop())]
+    return [ExperimentRecord.from_json_line(line) for line in lines if line.strip()], data
+
+
 def load_log(log_path) -> list[ExperimentRecord]:
-    path = Path(log_path)
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text().splitlines():
-        if line.strip():
-            records.append(ExperimentRecord.from_json_line(line))
-    return records
+    return _read_log(Path(log_path))[0]
 
 
 def _task_key(task: dict) -> str:
@@ -494,21 +504,40 @@ def _task_key(task: dict) -> str:
     return record_key(name, spec_dict, task["seed"])
 
 
+def _records(todo: list[dict], jobs: int):
+    """run_task over the tasks, yielding each record in task order."""
+    if jobs <= 1 or len(todo) <= 1:
+        yield from map(run_task, todo)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        try:
+            yield from pool.map(run_task, todo)
+        except BaseException:
+            # Drop the tasks not yet started, so that an interrupt returns promptly.
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_campaign(config: dict, log_path, jobs: int = 1) -> list[ExperimentRecord]:
-    """Run all tasks not yet present in the log; append and return them."""
-    tasks = expand_campaign(config)
-    done = {r.key for r in load_log(log_path)}
-    todo = [t for t in tasks if _task_key(t) not in done]
-    if jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_task, todo))
-    else:
-        records = [run_task(t) for t in todo]
+    """Run all tasks not yet present in the log; append and return them.
+
+    Each record is appended and flushed as soon as it and the tasks before
+    it are done, so an interrupted campaign keeps what it finished.
+    """
     path = Path(log_path)
+    previous, kept = _read_log(path)
+    done = {r.key for r in previous}
+    todo = [t for t in expand_campaign(config) if _task_key(t) not in done]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as fh:
-        for record in records:
-            fh.write(record.to_json_line() + "\n")
+    records = []
+    with path.open("ab") as fh:
+        fh.truncate(len(kept))
+        if kept and not kept.endswith(b"\n"):
+            fh.write(b"\n")
+        for record in _records(todo, jobs):
+            fh.write(record.to_json_line().encode() + b"\n")
+            fh.flush()
+            records.append(record)
     return records
 
 

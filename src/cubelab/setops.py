@@ -5,22 +5,27 @@ both the result set and the full multiplicity map r(x) = #{(a, b) : a op b
 = x}.  Ratio sets over the integers are sets of Fractions in lowest terms;
 over F_p they are residue sets (zero denominators are always excluded).
 
-Size-only variants (pairwise_set, pairwise_size) skip the counting and use
-commutativity / reflection shortcuts, which matters when the inputs have
-thousands of elements.
+All pair arithmetic of the package runs through one kernel, _pair_keys,
+which streams a op b over the pairs: a Counter of the stream gives
+multiplicities, a set gives values and sizes.  Size-only variants
+(pairwise_set, pairwise_size) skip the counting and use commutativity /
+reflection shortcuts, which matters when the inputs have thousands of
+elements.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import chain, combinations, combinations_with_replacement, product, repeat, starmap
 from math import gcd
+from operator import add, mod, mul, sub
 
 from .cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
-from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError
+from .numeric import INTEGERS, AmbientRing, CapExceededError
 
 SUM = "sum"
 DIFF = "diff"
@@ -29,6 +34,8 @@ RATIO = "ratio"
 
 DEFAULT_PAIR_CAP = 1 << 26
 DEFAULT_GRID_CAP = 1 << 24
+
+_ARITH = {SUM: add, DIFF: sub, PROD: mul}
 
 
 @dataclass(frozen=True)
@@ -83,208 +90,125 @@ def _check_magnitude(ring: AmbientRing, op: str, A: FiniteSet, B: FiniteSet) -> 
         raise CapExceededError(f"{op} results would exceed the magnitude cap")
 
 
+def _reduced_keys(op: str, A: FiniteSet, B: FiniteSet) -> bool:
+    """True when ratio keys are (num, den) pairs: RATIO over Z, all ints."""
+    return (
+        op == RATIO
+        and A.ring.kind == INTEGERS
+        and set(map(type, chain(A.elements, B.elements))) <= {int}
+    )
+
+
+def _pair_keys(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool = False):
+    """The pair kernel: a lazy stream of the keys of a op b, one per pair.
+
+    A key is the value a op b, except that a ratio over Z of int sets is
+    keyed on (num, den) in lowest terms with den > 0: a gcd and a tuple
+    cost a small part of a Fraction, so callers that need values build
+    Fractions once per distinct key.  Sets holding a Fraction key ratios
+    on Fraction(a, b).  Ratios skip zero denominators; over F_p they are
+    products with the inverses of B.
+
+    Pairs run over A x B, or with same=True (A is B over Z) over one pair
+    of each mirrored couple: i <= j for sum and prod, i < j for diff and
+    ratio, whose other halves _value_set restores.
+    """
+    ring = _require_same_ring(A, B)
+    if op not in (SUM, DIFF, PROD, RATIO):
+        raise ValueError(f"unknown pairwise op {op!r}")
+    _check_pair_cap(A, B, cap)
+    _check_magnitude(ring, op, A, B)
+    p = ring.modulus
+    ea, eb = A.elements, B.elements
+    if op == RATIO and p is not None:
+        op, eb = PROD, [pow(b, -1, p) for b in eb if b]
+    if op != RATIO:
+        if not same:
+            pairs = product(ea, eb)
+        elif op == DIFF:
+            pairs = combinations(ea, 2)
+        else:
+            pairs = combinations_with_replacement(ea, 2)
+        keys = starmap(_ARITH[op], pairs)
+        return keys if p is None else map(mod, keys, repeat(p))
+    # Ratios run in rows (a, bs), a list of keys per row being faster than a
+    # generator step per pair; every b > 0, as (x, y) with y < 0 becomes (-x, -y).
+    if same:
+        neg = [-x for x in ea if x < 0]
+        pos = [x for x in ea if x > 0]
+        rows = chain(((a, neg[i + 1:]) for i, a in enumerate(neg)), ((-a, pos) for a in neg),
+                     ((a, pos[i + 1:]) for i, a in enumerate(pos)))
+    else:
+        pos = [b for b in eb if b > 0]
+        neg = [-b for b in eb if b < 0]
+        rows = ((a, pos) for a in ea)
+        if neg:
+            rows = chain(rows, ((-a, neg) for a in ea))
+    if _reduced_keys(RATIO, A, B):
+        keys = ([(a // g, b // g) for b in bs for g in [gcd(a, b)]] for a, bs in rows)
+    else:
+        keys = ([Fraction(a, b) for b in bs] for a, bs in rows)
+    return chain.from_iterable(keys)
+
+
+def _value_set(op: str, A: FiniteSet, B: FiniteSet, cap: int, size_only: bool = False):
+    """The distinct keys of A op B, or with size_only their number.
+
+    The same operand on both sides over Z halves the work: sum and prod
+    commute, and the pairs j < i of diff and ratio give the negations and
+    reciprocals of the pairs i < j, the diagonal 0 or 1 (and 0 / x gives
+    0).  The visited differences are all negative, and the visited ratios
+    all lie on one side of 1 when the nonzero elements share a sign; then
+    the size needs no mirror images.
+    """
+    same = A is B and A.ring.kind == INTEGERS
+    keys = set(_pair_keys(op, A, B, cap, same))
+    ea = A.elements
+    if not (same and op in (DIFF, RATIO) and ea):
+        return len(keys) if size_only else keys
+    if op == DIFF:
+        fixed, one_sided = [0], True
+    else:
+        has_zero = 0 in A
+        fixed = ([1, 0] if has_zero else [1]) if len(ea) > has_zero else []
+        one_sided = not ea[0] < 0 < ea[-1]
+    if size_only and one_sided:
+        return 2 * len(keys) + len(fixed)
+    if op == DIFF:
+        mirror = [-x for x in keys]
+    elif _reduced_keys(RATIO, A, A):
+        mirror = [(d, n) if n > 0 else (-d, -n) for n, d in keys]
+        fixed = [(v, 1) for v in fixed]
+    else:
+        mirror = [1 / x for x in keys]
+        fixed = [Fraction(v) for v in fixed]
+    keys.update(mirror)
+    keys.update(fixed)
+    return len(keys) if size_only else keys
+
+
 def pairwise(op: str, A: FiniteSet, B: FiniteSet, *, cap: int = DEFAULT_PAIR_CAP):
     """(result set, multiplicity map) for A op B, op in sum/diff/prod/ratio.
 
     Ratio skips pairs with zero denominator; its mass is |A| * |B \\ {0}|.
     """
-    ring = _require_same_ring(A, B)
-    _check_pair_cap(A, B, cap)
-    _check_magnitude(ring, op, A, B)
-    counts: dict = {}
-    get = counts.get
-    p = ring.modulus
-    if op == SUM:
-        if p is None:
-            for a in A.elements:
-                for b in B.elements:
-                    x = a + b
-                    counts[x] = get(x, 0) + 1
-        else:
-            for a in A.elements:
-                for b in B.elements:
-                    x = (a + b) % p
-                    counts[x] = get(x, 0) + 1
-    elif op == DIFF:
-        if p is None:
-            for a in A.elements:
-                for b in B.elements:
-                    x = a - b
-                    counts[x] = get(x, 0) + 1
-        else:
-            for a in A.elements:
-                for b in B.elements:
-                    x = (a - b) % p
-                    counts[x] = get(x, 0) + 1
-    elif op == PROD:
-        if p is None:
-            for a in A.elements:
-                for b in B.elements:
-                    x = a * b
-                    counts[x] = get(x, 0) + 1
-        else:
-            for a in A.elements:
-                for b in B.elements:
-                    x = (a * b) % p
-                    counts[x] = get(x, 0) + 1
-    elif op == RATIO:
-        if p is None:
-            for b in B.elements:
-                if b == 0:
-                    continue
-                for a in A.elements:
-                    x = Fraction(a, b)
-                    counts[x] = get(x, 0) + 1
-        else:
-            for b in B.elements:
-                if b == 0:
-                    continue
-                ib = pow(b, -1, p)
-                for a in A.elements:
-                    x = (a * ib) % p
-                    counts[x] = get(x, 0) + 1
-    else:
-        raise ValueError(f"unknown pairwise op {op!r}")
-    result = FiniteSet(ring, tuple(sorted(counts)))
-    return result, MultiplicityMap(ring, counts)
-
-
-def _raw_value_set(op: str, A: FiniteSet, B: FiniteSet, cap: int) -> set:
-    ring = _require_same_ring(A, B)
-    _check_pair_cap(A, B, cap)
-    _check_magnitude(ring, op, A, B)
-    p = ring.modulus
-    ea = A.elements
-    if A is B and p is None:
-        # Same operand on both sides: halve the work via commutativity
-        # (sum, prod), reflection (diff), or reciprocals (ratio).
-        n = len(ea)
-        if op == SUM:
-            return {ea[i] + ea[j] for i in range(n) for j in range(i, n)}
-        if op == PROD:
-            return {ea[i] * ea[j] for i in range(n) for j in range(i, n)}
-        if op == DIFF:
-            pos = {ea[j] - ea[i] for i in range(n) for j in range(i + 1, n)}
-            out = {-x for x in pos}
-            out.update(pos)
-            if n:
-                out.add(0)
-            return out
-        if op == RATIO:
-            nz = [x for x in ea if x != 0]
-            out = set()
-            if nz:
-                out.add(Fraction(1))
-                if len(nz) < n:
-                    out.add(Fraction(0))
-            m = len(nz)
-            for i in range(m):
-                x = nz[i]
-                for j in range(i + 1, m):
-                    y = nz[j]
-                    out.add(Fraction(x, y))
-                    out.add(Fraction(y, x))
-            return out
-    eb = B.elements
-    if op == SUM:
-        if p is None:
-            return {a + b for a in ea for b in eb}
-        return {(a + b) % p for a in ea for b in eb}
-    if op == DIFF:
-        if p is None:
-            return {a - b for a in ea for b in eb}
-        return {(a - b) % p for a in ea for b in eb}
-    if op == PROD:
-        if p is None:
-            return {a * b for a in ea for b in eb}
-        return {(a * b) % p for a in ea for b in eb}
-    if op == RATIO:
-        out = set()
-        if p is None:
-            for b in eb:
-                if b:
-                    out.update(Fraction(a, b) for a in ea)
-        else:
-            for b in eb:
-                if b:
-                    ib = pow(b, -1, p)
-                    out.update((a * ib) % p for a in ea)
-        return out
-    raise ValueError(f"unknown pairwise op {op!r}")
+    counts = Counter(_pair_keys(op, A, B, cap))
+    if _reduced_keys(op, A, B):
+        counts = {Fraction(n, d): c for (n, d), c in counts.items()}
+    return FiniteSet(A.ring, tuple(sorted(counts))), MultiplicityMap(A.ring, counts)
 
 
 def pairwise_set(op: str, A: FiniteSet, B: FiniteSet, *, cap: int = DEFAULT_PAIR_CAP) -> FiniteSet:
     """Result set only; multiplicities are not tracked."""
-    return FiniteSet(A.ring, tuple(sorted(_raw_value_set(op, A, B, cap))))
-
-
-def _ratio_pair(a: int, b: int) -> tuple[int, int]:
-    if b < 0:
-        a, b = -a, -b
-    g = gcd(a, b)
-    return (a // g, b // g)
-
-
-def _ratio_size_integers(A: FiniteSet, B: FiniteSet, cap: int) -> int:
-    """|A/B| over Z counted on normalized (num, den) pairs.
-
-    Fraction objects are correct but slow to build by the million; a
-    gcd-reduced tuple is the same canonical value.
-    """
-    _check_pair_cap(A, B, cap)
-    seen: set = set()
-    if A is B:
-        nz = [x for x in A.elements if x != 0]
-        m = len(nz)
-        if m and A.elements[0] > 0:
-            # All positive: ratios below 1 pair off with their reciprocals,
-            # so store one orientation and count the diagonal once.
-            sub_unit: set = set()
-            add = sub_unit.add
-            for i in range(m):
-                x = nz[i]
-                for j in range(i + 1, m):
-                    y = nz[j]
-                    g = gcd(x, y)
-                    add((x // g, y // g))
-            return 2 * len(sub_unit) + 1
-        if nz:
-            seen.add((1, 1))
-            if m < len(A):
-                seen.add((0, 1))
-        for i in range(m):
-            x = nz[i]
-            for j in range(i + 1, m):
-                y = nz[j]
-                pair = _ratio_pair(x, y)
-                seen.add(pair)
-                n, d = pair
-                seen.add((-d, -n) if n < 0 else (d, n))
-        return len(seen)
-    for b in B.elements:
-        if b == 0:
-            continue
-        for a in A.elements:
-            seen.add(_ratio_pair(a, b))
-    return len(seen)
-
-
-def _diff_size_integers(A: FiniteSet, cap: int) -> int:
-    """|A-A| over Z from positive differences only; the set is symmetric."""
-    _check_pair_cap(A, A, cap)
-    ea = A.elements
-    n = len(ea)
-    pos = {ea[j] - ea[i] for i in range(n) for j in range(i + 1, n)}
-    return 2 * len(pos) + (1 if n else 0)
+    values = _value_set(op, A, B, cap)
+    if _reduced_keys(op, A, B):
+        values = starmap(Fraction, values)
+    return FiniteSet(A.ring, tuple(sorted(values)))
 
 
 def pairwise_size(op: str, A: FiniteSet, B: FiniteSet, *, cap: int = DEFAULT_PAIR_CAP) -> int:
     """|A op B| without building a sorted set; the fast path for growth trials."""
-    if op == RATIO and A.ring.kind == INTEGERS:
-        return _ratio_size_integers(A, B, cap)
-    if op == DIFF and A is B and A.ring.kind == INTEGERS:
-        return _diff_size_integers(A, cap)
-    return len(_raw_value_set(op, A, B, cap))
+    return _value_set(op, A, B, cap, size_only=True)
 
 
 def _fold_digit_sumset(digits: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -349,8 +273,9 @@ def iterate_sum(
         raise ValueError("k must be at least 1")
     ring = spec.ring
     kd = _fold_digit_sumset(spec.digits, k)
-    a0k = spec.a0 * k if ring.kind == INTEGERS else (spec.a0 * k) % ring.modulus
-    folded = CubeSpec(ring=ring, a0=a0k, generators=spec.generators, digits=kd, mode=ADDITIVE)
+    folded = CubeSpec(
+        ring=ring, a0=spec.a0 * k, generators=spec.generators, digits=kd, mode=ADDITIVE
+    )
     value_set = enumerate_cube(folded, cap=enum_cap)
     if not with_multiplicities:
         return value_set, None
@@ -439,31 +364,15 @@ def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_C
     if shifts == "all":
         if mode == MULTIPLICATIVE and all(0 in m for m in members):
             raise ValueError("correlation support is not finite: 0 lies in every set")
-        candidates = []
-        for s in sets[1:]:
-            cand = set()
-            if mode == ADDITIVE:
-                for b in s.elements:
-                    for z in base.elements:
-                        cand.add(ring.sub(b, z))
-            else:
-                for z in base.elements:
-                    if z == 0:
-                        continue
-                    if ring.kind == PRIME_FIELD:
-                        iz = pow(z, -1, ring.modulus)
-                        for b in s.elements:
-                            cand.add((b * iz) % ring.modulus)
-                    else:
-                        for b in s.elements:
-                            cand.add(Fraction(b, z))
-            candidates.append(sorted(cand))
+        op = DIFF if mode == ADDITIVE else RATIO
+        # The cap admits every pair: the grid cap below is the limit here.
+        candidates = [pairwise_set(op, s, base, cap=len(s) * len(base)).elements for s in sets[1:]]
         grid = 1
         for cand in candidates:
             grid *= len(cand)
         if grid > grid_cap:
             raise CapExceededError(f"correlation grid of {grid} points exceeds cap {grid_cap}")
-        for point in iter_product(*candidates):
+        for point in product(*candidates):
             c = evaluate(point)
             if c:
                 table[point] = c

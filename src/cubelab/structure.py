@@ -9,10 +9,12 @@ never through floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import sqrt
+from operator import add
 
 from .cube import (
     ADDITIVE,
@@ -25,7 +27,7 @@ from .cube import (
 )
 from .energy import energy_pair
 from .numeric import PRIME_FIELD, AmbientRing, CapExceededError
-from .setops import DEFAULT_PAIR_CAP, DIFF, SUM, pairwise, pairwise_set
+from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, _pair_keys, pairwise_set
 
 OLMEZOV_TERM_CAP = 10**9
 
@@ -67,22 +69,8 @@ class SDDecomposition:
     threshold: float
 
     def coverage_ok(self) -> bool:
-        ring = self.cube_set.ring
-        p = ring.modulus
-        s_members = self.sums._members
-        d_members = self.diffs._members
-        elems = self.cube_set.elements
-        if p is None:
-            for b1 in elems:
-                for b2 in elems:
-                    if b1 + b2 not in s_members and b1 - b2 not in d_members:
-                        return False
-        else:
-            for b1 in elems:
-                for b2 in elems:
-                    if (b1 + b2) % p not in s_members and (b1 - b2) % p not in d_members:
-                        return False
-        return True
+        sums, diffs = self.sums._members, self.diffs._members
+        return all(s in sums or d in diffs for s, d in zip(*_sum_diff_streams(self.cube_set)))
 
     def sizes_ok(self) -> bool:
         q = len(self.cube_set)
@@ -96,14 +84,23 @@ def _require_height1(spec: CubeSpec) -> None:
         raise ValueError("decomposition needs height-1 digits {0, 1}")
 
 
+def _sum_diff_counts(q_set: FiniteSet) -> tuple[Counter, Counter]:
+    """r_{Q+Q} and r_{Q-Q}."""
+    return tuple(Counter(_pair_keys(op, q_set, q_set, DEFAULT_PAIR_CAP)) for op in (SUM, DIFF))
+
+
+def _sum_diff_streams(Q: FiniteSet):
+    """The streams b1 + b2 and b1 - b2 over the ordered pairs of Q, in one order."""
+    return _pair_keys(SUM, Q, Q, DEFAULT_PAIR_CAP), _pair_keys(DIFF, Q, Q, DEFAULT_PAIR_CAP)
+
+
 def sd_decompose(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> SDDecomposition:
     _require_height1(spec)
     q_set = enumerate_cube(spec, cap=cap)
     q = len(q_set)
-    _, plus = pairwise(SUM, q_set, q_set)
-    _, minus = pairwise(DIFF, q_set, q_set)
-    popular_sums = [x for x, c in plus.counts.items() if c * c >= q]
-    popular_diffs = [x for x, c in minus.counts.items() if c * c >= q]
+    plus, minus = _sum_diff_counts(q_set)
+    popular_sums = [x for x, c in plus.items() if c * c >= q]
+    popular_diffs = [x for x, c in minus.items() if c * c >= q]
     return SDDecomposition(
         cube_set=q_set,
         sums=FiniteSet(spec.ring, tuple(sorted(popular_sums))),
@@ -119,20 +116,10 @@ def sd_popularity_ok(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> bool:
     if not is_proper(spec, cap=cap):
         raise ValueError("the pointwise popularity bound is stated for proper cubes")
     q_set = enumerate_cube(spec, cap=cap)
-    q = len(q_set)
-    _, plus = pairwise(SUM, q_set, q_set)
-    _, minus = pairwise(DIFF, q_set, q_set)
-    pc, mc = plus.counts, minus.counts
-    p = spec.ring.modulus
-    for q1 in q_set.elements:
-        for q2 in q_set.elements:
-            if p is None:
-                r = pc[q1 + q2] + mc[q1 - q2]
-            else:
-                r = pc[(q1 + q2) % p] + mc[(q1 - q2) % p]
-            if r * r < 4 * q:
-                return False
-    return True
+    plus, minus = _sum_diff_counts(q_set)
+    sums, diffs = _sum_diff_streams(q_set)
+    least = min(map(add, map(plus.__getitem__, sums), map(minus.__getitem__, diffs)))
+    return least * least >= 4 * len(q_set)
 
 
 def energy_lower_check(B: FiniteSet, spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> Verdict:
@@ -331,29 +318,17 @@ def shifted_intersection_count(
     ring = S.ring
     if ring.kind != PRIME_FIELD:
         raise ValueError("shifted intersection counting needs field mode")
-    if Pi.ring != ring:
-        raise ValueError("operands live in different rings")
     if 0 in S:
         raise ValueError("S may not contain 0: its elements are denominators")
-    if len(S) * len(Pi) > cap:
-        raise CapExceededError("ratio table exceeds cap")
     p = ring.modulus
     x = x % p
-    ratios: dict = {}
-    get = ratios.get
-    for q in S.elements:
-        iq = pow(q, -1, p)
-        for pi in Pi.elements:
-            t = (pi * iq) % p
-            ratios[t] = get(t, 0) + 1
+    ratios = Counter(_pair_keys(RATIO, Pi, S, cap))
     return sum(c * ratios.get((t + x) % p, 0) for t, c in ratios.items())
 
 
 def intersection_bound_verdict(S: FiniteSet, x: int, Pi: FiniteSet | None = None) -> Verdict:
     """|S and (S - x)| <= count / |S|^2 with Pi defaulting to the product
     set SS, compared without division."""
-    from .setops import PROD
-
     ring = S.ring
     p = ring.modulus
     if Pi is None:

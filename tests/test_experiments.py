@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubelab import experiments
 from cubelab.cube import ADDITIVE, MULTIPLICATIVE, FiniteSet, is_proper
 from cubelab.experiments import (
     ExperimentRecord,
@@ -203,6 +204,50 @@ def test_campaign_parallel_matches_serial(tmp_path):
     serial = run_campaign(small, tmp_path / "serial.jsonl", jobs=1)
     parallel = run_campaign(small, tmp_path / "parallel.jsonl", jobs=2)
     assert [r.comparable() for r in serial] == [r.comparable() for r in parallel]
+
+
+_INTERRUPTED = 5
+_INTERRUPTED_TASK = expand_campaign(CONFIG)[_INTERRUPTED]
+_run_task = experiments.run_task
+
+
+def _run_task_interrupted(task):
+    """run_task that raises on one task of CONFIG, as an interrupt would."""
+    if task == _INTERRUPTED_TASK:
+        raise RuntimeError("interrupted")
+    return _run_task(task)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupted_campaign_keeps_finished_records(tmp_path, monkeypatch, jobs):
+    whole = [r.comparable() for r in run_campaign(CONFIG, tmp_path / "whole.jsonl")]
+    log = tmp_path / "log.jsonl"
+    monkeypatch.setattr(experiments, "run_task", _run_task_interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_campaign(CONFIG, log, jobs=jobs)
+    assert [r.comparable() for r in load_log(log)] == whole[:_INTERRUPTED]
+    monkeypatch.undo()
+    assert len(run_campaign(CONFIG, log, jobs=jobs)) == len(whole) - _INTERRUPTED
+    assert [r.comparable() for r in load_log(log)] == whole
+
+
+def test_torn_last_line_is_dropped_and_resumed(tmp_path):
+    whole = tmp_path / "whole.jsonl"
+    run_campaign(CONFIG, whole)
+    expect = [r.comparable() for r in load_log(whole)]
+    lines = whole.read_text().splitlines(keepends=True)
+    log = tmp_path / "log.jsonl"
+    head = "".join(lines[:7])
+    # Half a record after seven, then seven whose last lost its newline.
+    for text in (head + lines[7][: len(lines[7]) // 2], head.rstrip("\n")):
+        log.write_text(text)
+        assert [r.comparable() for r in load_log(log)] == expect[:7]
+        run_campaign(CONFIG, log)
+        assert [r.comparable() for r in load_log(log)] == expect
+    # A malformed line before the last one is no torn write: it raises.
+    log.write_text(lines[0][:20] + "\n" + "".join(lines[1:]))
+    with pytest.raises(ValueError):
+        load_log(log)
 
 
 def test_export_csv(tmp_path):

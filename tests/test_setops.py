@@ -100,44 +100,80 @@ def test_prime_field_wraparound():
     assert r[10] == 2  # 11+12 both ways
 
 
-def _random_set(rng, ring, n, lo=-40, hi=40):
+def _random_set(rng, ring, n, lo=-40, hi=40, fractions=0.0):
+    """n draws from [lo, hi]; each becomes a Fraction v/k with probability
+    `fractions` (so a set may hold ints, Fractions, or both)."""
     if ring.kind == "prime_field":
         lo, hi = 0, ring.modulus - 1
-    return FiniteSet.from_iterable(ring, (rng.randint(lo, hi) for _ in range(n)))
+    values = [rng.randint(lo, hi) for _ in range(n)]
+    values = [Fraction(v, rng.randint(2, 9)) if rng.random() < fractions else v for v in values]
+    return FiniteSet.from_iterable(ring, values)
+
+
+def _brute_force_counts(op, A, B):
+    """r(x) by a plain double loop, ratios as Fraction(a, b) over Z: the
+    oracle for pairwise, pairwise_set and pairwise_size, which share one
+    kernel."""
+    p = A.ring.modulus
+    counts = {}
+    for a in A.elements:
+        for b in B.elements:
+            if op == RATIO:
+                if b == 0:
+                    continue
+                x = Fraction(a, b) if p is None else a * pow(b, -1, p) % p
+            else:
+                x = {SUM: a + b, DIFF: a - b, PROD: a * b}[op]
+                if p is not None:
+                    x %= p
+            counts[x] = counts.get(x, 0) + 1
+    return counts
+
+
+def _assert_matches_oracle(A, B):
+    for op in (SUM, DIFF, PROD, RATIO):
+        for X, Y in ((A, B), (A, A)):
+            expect = _brute_force_counts(op, X, Y)
+            support, r = pairwise(op, X, Y)
+            assert dict(r.items()) == expect, (op, X.elements, Y.elements)
+            assert support.elements == tuple(sorted(expect))
+            assert pairwise_set(op, X, Y) == support
+            assert pairwise_size(op, X, Y) == len(expect), (op, X.elements, Y.elements)
 
 
 def test_fast_paths_agree_with_counting():
+    # Ints over Z and F_13, then Fraction-only and mixed int/Fraction sets
+    # over Z; the draws hold negatives and, now and then, 0.
     rng = random.Random(42)
-    for trial in range(60):
-        ring = Z if trial % 2 == 0 else F13
-        A = _random_set(rng, ring, rng.randint(1, 12))
-        B = _random_set(rng, ring, rng.randint(1, 12))
-        for op in (SUM, DIFF, PROD, RATIO):
-            expect, _ = pairwise(op, A, B)
-            assert pairwise_set(op, A, B) == expect
-            assert pairwise_size(op, A, B) == len(expect)
-            same, _ = pairwise(op, A, A)
-            assert pairwise_set(op, A, A) == same
-            assert pairwise_size(op, A, A) == len(same)
+    kinds = [(Z, 0.0), (F13, 0.0), (Z, 1.0), (Z, 0.5)]
+    for trial in range(120):
+        ring, fractions = kinds[trial % len(kinds)]
+        A = _random_set(rng, ring, rng.randint(1, 12), fractions=fractions)
+        B = _random_set(rng, ring, rng.randint(1, 12), fractions=fractions)
+        _assert_matches_oracle(A, B)
+    _assert_matches_oracle(zset(0, -3, Fraction(1, 2), Fraction(-7, 3), 5), zset(0, Fraction(-2, 5), 4))
+    _assert_matches_oracle(zset(Fraction(-1, 2), Fraction(0), Fraction(3)), zset(0))
 
 
 def test_size_shortcuts_on_one_sided_sets():
-    # Strictly positive same-operand sets take the reciprocal-pairing
-    # route for RATIO and the positive-differences route for DIFF.
+    # Same-operand sets whose nonzero elements share a sign take the
+    # reciprocal-pairing route for RATIO; DIFF always counts one sign.
     rng = random.Random(7)
     probes = [
         zset(3),
+        zset(0),
         zset(1, 2),
         zset(*range(1, 15)),
         zset(*(rng.randint(1, 10**9) for _ in range(25))),
-        zset(0, *(rng.randint(1, 50) for _ in range(12))),  # zero defeats it
+        zset(0, *(rng.randint(1, 50) for _ in range(12))),
+        zset(*(rng.randint(-50, -1) for _ in range(12))),
+        zset(0, *(rng.randint(-50, -1) for _ in range(12))),
         zset(*(rng.randint(-50, 50) for _ in range(12))),
+        zset(*(Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(12))),
     ]
     for A in probes:
-        expect, _ = pairwise(RATIO, A, A)
-        assert pairwise_size(RATIO, A, A) == len(expect)
-        expect, _ = pairwise(DIFF, A, A)
-        assert pairwise_size(DIFF, A, A) == len(expect)
+        for op in (RATIO, DIFF):
+            assert pairwise_size(op, A, A) == len(_brute_force_counts(op, A, A)), (op, A.elements)
 
 
 def test_pair_cap_raises():
