@@ -76,13 +76,20 @@ def _add_cube_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
 def _cube_from_args(args) -> CubeSpec:
     if args.spec:
-        return CubeSpec.from_json_dict(json.loads(Path(args.spec).read_text()))
+        return CubeSpec.from_json_dict(json.loads(_read_text(args.spec)))
     if not args.gens:
         raise ValueError("need --gens or --spec")
     if args.digits and args.h is not None:
@@ -101,7 +108,7 @@ def _cube_from_args(args) -> CubeSpec:
 
 
 def _load_set(ring: AmbientRing, path: str) -> FiniteSet:
-    return FiniteSet.from_lines(ring, Path(path).read_text())
+    return FiniteSet.from_lines(ring, _read_text(path))
 
 
 def _print_set(A: FiniteSet) -> None:
@@ -311,7 +318,7 @@ def _cmd_verify_energy_lower(args) -> int:
 
 
 def _cmd_incidence_2d(args) -> int:
-    inst = instance_from_json(Path(args.instance).read_text())
+    inst = instance_from_json(_read_text(args.instance))
     points = inst["points"]
     lines = LineSet.all_lines(inst["p"]) if args.all_lines else inst.get("lines")
     if lines is None:
@@ -334,7 +341,7 @@ def _cmd_incidence_2d(args) -> int:
 
 
 def _cmd_incidence_3d(args) -> int:
-    inst = instance_from_json(Path(args.instance).read_text())
+    inst = instance_from_json(_read_text(args.instance))
     if "planes" not in inst:
         raise ValueError("instance has no planes")
     points, planes = inst["points"], inst["planes"]
@@ -362,7 +369,7 @@ def _cmd_incidence_3d(args) -> int:
 
 
 def _cmd_campaign_run(args) -> int:
-    config = json.loads(Path(args.config).read_text())
+    config = json.loads(_read_text(args.config))
     new = run_campaign(config, args.log, jobs=args.jobs)
     print(json.dumps({"appended": len(new), "log": str(args.log)}))
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .numeric import PRIME_FIELD, AmbientRing, CapExceededError
+from .numeric import PRIME_FIELD, AmbientRing, CapExceededError, _require_keys
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -70,6 +70,8 @@ class FiniteSet:
             if not line:
                 continue
             if "/" in line:
+                if ring.is_field:
+                    raise ValueError(f"{line!r}: prime-field elements are residues, not fractions")
                 values.append(Fraction(line))
             else:
                 values.append(int(line))
@@ -133,6 +135,7 @@ class CubeSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CubeSpec":
+        _require_keys(data, ("ring", "a0", "generators", "digits", "mode"), "cube spec")
         return cls(
             ring=AmbientRing.from_json_dict(data["ring"]),
             a0=int(data["a0"]),

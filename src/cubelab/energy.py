@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iter_product
 
 from .cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
@@ -73,6 +74,9 @@ def _brute_pair_energy(mode: str, A: FiniteSet, B: FiniteSet) -> int:
                     if b2 in B:
                         total += 1
         return total
+    # divmod floors on Fractions, and with a Fraction in B even a quotient of
+    # two ints may lie in B, so such sets divide exactly.
+    exact = any(isinstance(v, Fraction) for v in A.elements + B.elements)
     for a1 in A.elements:
         for b1 in B.elements:
             x = a1 * b1 if p is None else (a1 * b1) % p
@@ -82,7 +86,7 @@ def _brute_pair_energy(mode: str, A: FiniteSet, B: FiniteSet) -> int:
                         total += len(B)
                     continue
                 if p is None:
-                    q, r = divmod(x, a2)
+                    q, r = (Fraction(x, a2), 0) if exact else divmod(x, a2)
                     if r == 0 and q in B:
                         total += 1
                 else:

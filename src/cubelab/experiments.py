@@ -16,7 +16,7 @@ import math
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -34,10 +34,11 @@ from .cube import (
 )
 from .energy import energy_pair
 from .floors import clears_floor
-from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError
+from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError, _require_keys
 from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, pairwise_set, pairwise_size
 
 TARGET_OPS = {"QQ": PROD, "Q/Q": RATIO, "Q+Q": SUM, "Q-Q": DIFF}
+_DEFAULT_TARGETS = {ADDITIVE: ("QQ", "Q/Q"), MULTIPLICATIVE: ("Q+Q", "Q-Q")}
 
 # Default generator distributions, chosen so that random cubes are proper
 # with overwhelming probability while all arithmetic stays far below the
@@ -88,12 +89,10 @@ def random_cube(
     rng = random.Random(seed)
 
     def draw() -> int:
-        if parsed[0] == "uniform":
+        value = rng.randint(parsed[1], parsed[2])
+        while ring.kind == PRIME_FIELD and value % ring.modulus == 0:
             value = rng.randint(parsed[1], parsed[2])
-            while ring.kind == PRIME_FIELD and value % ring.modulus == 0:
-                value = rng.randint(parsed[1], parsed[2])
-            return value
-        raise AssertionError
+        return value
 
     if parsed[0] == "powers":
         base = parsed[1]
@@ -121,7 +120,7 @@ def random_proper_cube(
         spec = random_cube(ring, d, digits, mode, distribution, seed + t * 1000003)
         if is_proper(spec, cap=cap):
             return spec
-    raise RuntimeError(f"no proper cube found after {max_tries} draws")
+    raise ValueError(f"no proper cube found after {max_tries} draws")
 
 
 @dataclass
@@ -141,35 +140,19 @@ class ExperimentRecord:
         return record_key(self.name, self.spec, self.seed)
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "spec": self.spec,
-                "seed": self.seed,
-                "measured": {k: str(v) for k, v in self.measured.items()},
-                "bounds": self.bounds,
-                "exponents": self.exponents,
-                "flag": self.flag,
-                "wall_ms": self.wall_ms,
-                "timestamp": self.timestamp,
-                "key": self.key,
-            }
-        )
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["measured"] = {k: str(v) for k, v in self.measured.items()}
+        data["key"] = self.key
+        return json.dumps(data)
 
     @classmethod
     def from_json_line(cls, line: str) -> "ExperimentRecord":
-        data = json.loads(line)
-        return cls(
-            name=data["name"],
-            spec=data["spec"],
-            seed=int(data["seed"]),
-            measured={k: int(v) for k, v in data["measured"].items()},
-            bounds=data["bounds"],
-            exponents=data["exponents"],
-            flag=data["flag"],
-            wall_ms=data["wall_ms"],
-            timestamp=data["timestamp"],
-        )
+        names = [f.name for f in fields(cls)]
+        data = _require_keys(json.loads(line), names, "log record")
+        values = {name: data[name] for name in names}
+        values["seed"] = int(data["seed"])
+        values["measured"] = {k: int(v) for k, v in data["measured"].items()}
+        return cls(**values)
 
     def comparable(self) -> dict:
         """Everything except wall-clock fields, for determinism checks."""
@@ -202,7 +185,7 @@ def growth_trial(
     rational floors are supplied the record is flagged pass/fail by the
     integer comparison measured^den >= |Q|^num."""
     if targets is None:
-        targets = ("QQ", "Q/Q") if spec.mode == ADDITIVE else ("Q+Q", "Q-Q")
+        targets = _DEFAULT_TARGETS[spec.mode]
     start = time.perf_counter()
     q_set = enumerate_cube(spec, cap=enum_cap)
     q = len(q_set)
@@ -377,91 +360,71 @@ def conjecture_probe(
 
 # --- campaigns ---------------------------------------------------------
 
-_GROWTH_KINDS = {"growth_additive": ADDITIVE, "growth_multiplicative": MULTIPLICATIVE}
-_ENERGY_KINDS = {"energy_additive": ADDITIVE, "energy_multiplicative": MULTIPLICATIVE}
+# The mode of each experiment kind's cubes; a kind is also the name of its records.
+_KIND_MODES = {
+    "growth_additive": ADDITIVE,
+    "growth_multiplicative": MULTIPLICATIVE,
+    "energy_additive": ADDITIVE,
+    "energy_multiplicative": MULTIPLICATIVE,
+    "conjecture_probe": ADDITIVE,
+}
 
 
-def _campaign_rings(config: dict) -> list[dict]:
-    rings: list[dict] = []
-    if config.get("includeIntegers", True):
-        rings.append({"kind": INTEGERS})
-    for p in config.get("pList", []):
-        rings.append({"kind": PRIME_FIELD, "p": int(p)})
-    return rings
+def _campaign_rings(config: dict) -> list[AmbientRing]:
+    rings = [AmbientRing.integers()] if config.get("includeIntegers", True) else []
+    return rings + [AmbientRing.prime_field(int(p)) for p in config.get("pList", [])]
 
 
 def expand_campaign(config: dict) -> list[dict]:
-    """The full deterministic task list for a campaign config."""
+    """The full deterministic task list for a campaign config.
+
+    Each task holds its cube, drawn here once, inside the spec of the
+    record it will produce, so its key is known before it runs.
+    """
+    _require_keys(config, (), "campaign config")
     d_lo, d_hi = config.get("dRange", [2, 6])
     h_lo, h_hi = config.get("hRange", [1, 1])
     seeds = config.get("seeds", [0])
+    caps = config.get("caps", {})
+    draw = random_proper_cube if config.get("properOnly", False) else random_cube
     tasks: list[dict] = []
-    for name in config.get("experiments", []):
-        if name in _GROWTH_KINDS or name in _ENERGY_KINDS:
-            mode = _GROWTH_KINDS.get(name) or _ENERGY_KINDS[name]
-            for ring_desc in _campaign_rings(config):
-                for d in range(d_lo, d_hi + 1):
-                    for h in range(h_lo, h_hi + 1):
-                        if mode == MULTIPLICATIVE and h != 1:
-                            continue
-                        for seed in seeds:
-                            tasks.append(
-                                {
-                                    "kind": name,
-                                    "ring": ring_desc,
-                                    "d": d,
-                                    "h": h,
-                                    "seed": seed,
-                                    "distribution": config.get("genDistribution"),
-                                    "caps": config.get("caps", {}),
-                                    "proper": bool(config.get("properOnly", False)),
-                                }
-                            )
-        elif name == "conjecture_probe":
+    for kind in config.get("experiments", []):
+        if kind not in _KIND_MODES:
+            raise ValueError(f"unknown experiment {kind!r}")
+        mode = _KIND_MODES[kind]
+        heights = [h for h in range(h_lo, h_hi + 1) if mode == ADDITIVE or h == 1]
+        extra: dict = {}
+        if kind.startswith("growth_"):
+            extra = {"targets": list(_DEFAULT_TARGETS[mode])}
+        elif kind == "conjecture_probe":
+            heights = [1]
             params = config.get("conjecture", {})
-            for ring_desc in _campaign_rings(config):
-                for d in range(d_lo, d_hi + 1):
+            extra = {"m": int(params.get("m", 2)), "n_max": int(params.get("nMax", 12))}
+        for ring in _campaign_rings(config):
+            for d in range(d_lo, d_hi + 1):
+                for h in heights:
                     for seed in seeds:
-                        tasks.append(
-                            {
-                                "kind": name,
-                                "ring": ring_desc,
-                                "d": d,
-                                "h": 1,
-                                "seed": seed,
-                                "distribution": config.get("genDistribution"),
-                                "caps": config.get("caps", {}),
-                                "m": int(params.get("m", 2)),
-                                "nMax": int(params.get("nMax", 12)),
-                                "proper": bool(config.get("properOnly", False)),
-                            }
-                        )
-        else:
-            raise ValueError(f"unknown experiment {name!r}")
+                        cube = draw(ring, d, h, mode, config.get("genDistribution"), seed)
+                        spec = {"cube": cube.to_json_dict(), **extra}
+                        tasks.append({"kind": kind, "d": d, "seed": seed, "spec": spec, "caps": caps})
     return tasks
 
 
-def _task_spec(task: dict) -> CubeSpec:
-    ring = AmbientRing.from_json_dict(task["ring"])
-    mode = ADDITIVE if task["kind"].endswith("additive") or task["kind"] == "conjecture_probe" else MULTIPLICATIVE
-    maker = random_proper_cube if task.get("proper") else random_cube
-    return maker(ring, task["d"], task["h"], mode, task.get("distribution"), task["seed"])
-
-
 def run_task(task: dict) -> ExperimentRecord:
-    spec = _task_spec(task)
-    caps = task.get("caps", {})
-    enum_cap = int(caps.get("enum", DEFAULT_ENUM_CAP))
-    pair_cap = int(caps.get("pair", DEFAULT_PAIR_CAP))
-    kind = task["kind"]
-    if kind in _GROWTH_KINDS:
-        return growth_trial(spec, seed=task["seed"], enum_cap=enum_cap, pair_cap=pair_cap)
-    if kind in _ENERGY_KINDS:
-        return energy_bound_trial(spec, seed=task["seed"], enum_cap=enum_cap, pair_cap=pair_cap)
+    """The record of one task of expand_campaign, on the cube it holds."""
+    spec = task["spec"]
+    cube = CubeSpec.from_json_dict(spec["cube"])
+    enum_cap = int(task["caps"].get("enum", DEFAULT_ENUM_CAP))
+    pair_cap = int(task["caps"].get("pair", DEFAULT_PAIR_CAP))
+    kind, seed = task["kind"], task["seed"]
+    if kind.startswith("growth_"):
+        return growth_trial(cube, tuple(spec["targets"]), seed, enum_cap=enum_cap, pair_cap=pair_cap)
+    if kind.startswith("energy_"):
+        return energy_bound_trial(cube, seed, enum_cap=enum_cap, pair_cap=pair_cap)
     if kind == "conjecture_probe":
-        q_set = enumerate_cube(spec, cap=enum_cap)
-        record = conjecture_probe(q_set, task["m"], task["nMax"], seed=task["seed"], pair_cap=pair_cap)
-        record.spec = {"cube": spec.to_json_dict(), "m": task["m"], "n_max": task["nMax"]}
+        q_set = enumerate_cube(cube, cap=enum_cap)
+        record = conjecture_probe(q_set, spec["m"], spec["n_max"], seed, pair_cap=pair_cap)
+        record.spec = spec
         return record
     raise ValueError(f"unknown task kind {kind!r}")
 
@@ -487,23 +450,6 @@ def load_log(log_path) -> list[ExperimentRecord]:
     return _read_log(Path(log_path))[0]
 
 
-def _task_key(task: dict) -> str:
-    spec = _task_spec(task)
-    kind = task["kind"]
-    if kind in _GROWTH_KINDS:
-        mode = _GROWTH_KINDS[kind]
-        targets = ("QQ", "Q/Q") if mode == ADDITIVE else ("Q+Q", "Q-Q")
-        spec_dict = {"cube": spec.to_json_dict(), "targets": list(targets)}
-        name = f"growth_{mode}"
-    elif kind in _ENERGY_KINDS:
-        spec_dict = {"cube": spec.to_json_dict()}
-        name = f"energy_{_ENERGY_KINDS[kind]}"
-    else:
-        spec_dict = {"cube": spec.to_json_dict(), "m": task["m"], "n_max": task["nMax"]}
-        name = "conjecture_probe"
-    return record_key(name, spec_dict, task["seed"])
-
-
 def _records(todo: list[dict], jobs: int):
     """run_task over the tasks, yielding each record in task order."""
     if jobs <= 1 or len(todo) <= 1:
@@ -527,7 +473,7 @@ def run_campaign(config: dict, log_path, jobs: int = 1) -> list[ExperimentRecord
     path = Path(log_path)
     previous, kept = _read_log(path)
     done = {r.key for r in previous}
-    todo = [t for t in expand_campaign(config) if _task_key(t) not in done]
+    todo = [t for t in expand_campaign(config) if record_key(t["kind"], t["spec"], t["seed"]) not in done]
     path.parent.mkdir(parents=True, exist_ok=True)
     records = []
     with path.open("ab") as fh:

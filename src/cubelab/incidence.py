@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .numeric import is_prime
+from .numeric import _require_keys, is_prime
 
 
 def _require_prime(p: int) -> None:
@@ -219,16 +219,18 @@ def instance_to_json(p: int, points, lines: LineSet | None = None, planes: Plane
 
 
 def instance_from_json(text: str) -> dict:
-    data = json.loads(text)
+    data = _require_keys(json.loads(text), ("p", "points"), "instance")
     p = int(data["p"])
     _require_prime(p)
+    points = [tuple(pt) for pt in data["points"]]
     out: dict = {"p": p}
+    if "planes" in data:
+        out["points"] = normalize_points_3d(p, points)
+        out["planes"] = PlaneSet.from_coefficients(p, [tuple(row) for row in data["planes"]])
+    else:
+        out["points"] = normalize_points_2d(p, points)
     if "lines" in data:
-        out["points"] = normalize_points_2d(p, [tuple(pt) for pt in data["points"]])
         out["lines"] = LineSet.from_lines(
             p, [Line(bool(ln["vertical"]), int(ln["a"]), int(ln.get("b", 0))) for ln in data["lines"]]
         )
-    if "planes" in data:
-        out["points"] = normalize_points_3d(p, [tuple(pt) for pt in data["points"]])
-        out["planes"] = PlaneSet.from_coefficients(p, [tuple(row) for row in data["planes"]])
     return out

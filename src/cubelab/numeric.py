@@ -25,6 +25,16 @@ class CapExceededError(RuntimeError):
     """An enumeration, pairing, grid, or magnitude cap was exceeded."""
 
 
+def _require_keys(data, keys, what: str):
+    """data, once it is known to be a JSON object holding every one of keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
+    return data
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -155,9 +165,9 @@ class AmbientRing:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AmbientRing":
-        kind = data["kind"]
+        kind = _require_keys(data, ("kind",), "ring")["kind"]
         if kind == PRIME_FIELD:
-            return cls.prime_field(int(data["p"]))
+            return cls.prime_field(int(_require_keys(data, ("p",), "prime field")["p"]))
         if kind == INTEGERS:
             return cls.integers()
         raise ValueError(f"unknown ring kind {kind!r}")

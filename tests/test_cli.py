@@ -126,7 +126,7 @@ def test_campaign_cli(tmp_path, capsys):
     assert code == 0 and json.loads(out)["rows"] == 2
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["cube", "gen", "--gens", "1,4", "--badflag"])
     assert exc_info.value.code == 2
@@ -135,6 +135,38 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "cube", "symmetry", "--gens", "1,4", "--digits", "0,2")
     assert code == 2
+    # Malformed or missing input files: the error line says what is wrong.
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "spec.json": {"ring": {"kind": "integers"}, "generators": [1, 4], "digits": [0, 1], "mode": "additive"},
+        "inst.json": {"p": 5, "lines": []},
+        "list.json": [1, 2],
+        "improper.json": {
+            "experiments": ["growth_additive"],
+            "dRange": [5, 5],
+            "genDistribution": "uniform(1..2)",
+            "properOnly": True,
+        },
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    (tmp_path / "half.txt").write_text("1/2\n3\n")
+    # A log record without its flag.
+    record = json.loads(run_cli(capsys, "conjecture", "--gens", "1,4", "-m", "1")[1])
+    del record["flag"]
+    (tmp_path / "log.jsonl").write_text(json.dumps(record) + "\n")
+    for argv, says in [
+        (["cube", "gen", "--spec", "spec.json"], "a0"),
+        (["incidence", "2d", "inst.json"], "points"),
+        (["setop", "sum", "--ring", "fp", "--p", "7", "half.txt"], "fraction"),
+        (["setop", "sum", "missing.txt"], "missing.txt"),
+        (["campaign", "run", "list.json", "--log", "out.jsonl"], "JSON object"),
+        (["campaign", "run", "improper.json", "--log", "out.jsonl"], "proper"),
+        (["campaign", "export", "--log", "log.jsonl", "--csv", "out.csv"], "flag"),
+        (["campaign", "run", "improper.json", "--log", "log.jsonl"], "flag"),
+    ]:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and says in err, (argv, err)
 
 
 def test_cap_exceeded_exit_3(capsys):

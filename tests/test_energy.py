@@ -2,6 +2,7 @@
 closed forms for non-interacting cubes, and the exponent bounds."""
 
 import math
+from fractions import Fraction
 import random
 
 import pytest
@@ -173,12 +174,19 @@ def test_cube_energy_bounds_rejections():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=100), min_size=2, max_size=12))
-def test_dual_routes_never_disagree(xs):
+@given(
+    st.lists(st.integers(min_value=0, max_value=100), min_size=2, max_size=12),
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6), max_size=6),
+)
+def test_dual_routes_never_disagree(xs, fs):
     # energy_pair raises internally if any route disagrees.
     A = FiniteSet.from_iterable(Z, xs)
     energy_pair(ADDITIVE, A)
     energy_pair(MULTIPLICATIVE, A)
+    for values in (fs, xs + fs, [Fraction(1, 2), 3]):
+        Aq = FiniteSet.from_iterable(Z, values)
+        energy_pair(ADDITIVE, Aq)
+        energy_pair(MULTIPLICATIVE, Aq)
     Af = FiniteSet.from_iterable(F101, xs)
     energy_pair(ADDITIVE, Af)
     energy_pair(MULTIPLICATIVE, Af)

@@ -1,5 +1,6 @@
 """Experiment harness: seeded draws, trial records, campaign logs."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,59 @@ def test_campaign_idempotent(tmp_path):
     third = run_campaign(wider, log)
     assert len(third) == 8
     assert len(load_log(log)) == 24
+
+
+ALL_KINDS = dict(
+    CONFIG,
+    experiments=[
+        "growth_additive",
+        "growth_multiplicative",
+        "energy_additive",
+        "energy_multiplicative",
+        "conjecture_probe",
+    ],
+    hRange=[1, 2],
+)
+_random_cube = experiments.random_cube
+
+
+def test_campaign_resumes_every_kind_drawing_each_cube_once(tmp_path, monkeypatch):
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return _random_cube(*args)
+
+    monkeypatch.setattr(experiments, "random_cube", counted)
+    log = tmp_path / "log.jsonl"
+    first = run_campaign(ALL_KINDS, log)
+    # Additive kinds at h = 1, 2; multiplicative kinds and the probe at h = 1.
+    assert len(first) == len(draws) == 2 * 16 + 3 * 8
+    assert {r.name for r in first} == set(ALL_KINDS["experiments"])
+    assert run_campaign(ALL_KINDS, log) == []
+    assert len(draws) == 2 * len(first)
+
+
+# One log line per kind, as an earlier release wrote them for FROZEN_CONFIG.
+FROZEN_CONFIG = dict(ALL_KINDS, dRange=[2, 2], hRange=[1, 1], pList=[], seeds=[0])
+FROZEN_LINES = (
+    '{"name": "growth_additive", "spec": {"cube": {"mode": "additive", "a0": 849735321550, "generators": [87705687126, 1067347797603], "digits": [0, 1], "ring": {"kind": "integers"}}, "targets": ["QQ", "Q/Q"]}, "seed": 0, "measured": {"|Q|": "4", "QQ": "10", "Q/Q": "13"}, "bounds": {"QQ_shape": 5.782308449972277, "Q/Q_shape": 5.837920422725785}, "exponents": {"QQ": 1.6609640474436813, "Q/Q": 1.850219859070546}, "flag": "report", "wall_ms": 0.1320649971603416, "timestamp": "2026-10-18T11:09:10.878037+00:00", "key": "f8062bd63fb62395f06cbbb02d15b863ffc8c86ce78815841c2e96a4d5456cd1"}',
+    '{"name": "growth_multiplicative", "spec": {"cube": {"mode": "multiplicative", "a0": 1, "generators": [55342, 25249], "digits": [0, 1], "ring": {"kind": "integers"}}, "targets": ["Q+Q", "Q-Q"]}, "seed": 0, "measured": {"|Q|": "4", "Q+Q": "10", "Q-Q": "13"}, "bounds": {"Q+Q_shape": 5.782308449972277, "Q-Q_shape": 5.837920422725785}, "exponents": {"Q+Q": 1.6609640474436813, "Q-Q": 1.850219859070546}, "flag": "report", "wall_ms": 0.051627001084852964, "timestamp": "2026-10-18T11:09:10.878259+00:00", "key": "b152971cfb3217e614260a229ed71d0886e89fd827259c110e7aa46b87433388"}',
+    '{"name": "energy_additive", "spec": {"cube": {"mode": "additive", "a0": 849735321550, "generators": [87705687126, 1067347797603], "digits": [0, 1], "ring": {"kind": "integers"}}}, "seed": 0, "measured": {"|Q|": "4", "E_times": "28"}, "bounds": {"E_times_shape": 71.99999999999999}, "exponents": {"E_times": 2.403677461028802, "deficiency": 0.5963225389711981}, "flag": "report", "wall_ms": 0.2168279970646836, "timestamp": "2026-10-18T11:09:10.878615+00:00", "key": "7cd43f8828beeb0d83c780eef18a95498055c4e58b58c8062da1a77a169fc389"}',
+    '{"name": "energy_multiplicative", "spec": {"cube": {"mode": "multiplicative", "a0": 1, "generators": [55342, 25249], "digits": [0, 1], "ring": {"kind": "integers"}}}, "seed": 0, "measured": {"|Q|": "4", "E_plus": "28"}, "bounds": {}, "exponents": {"E_plus": 2.403677461028802, "deficiency": 0.5963225389711981}, "flag": "report", "wall_ms": 0.09341500117443502, "timestamp": "2026-10-18T11:09:10.878815+00:00", "key": "6103ceb24deb1dee71fd979e030338ba85ad692419318af91aa86c2ec22153c6"}',
+    '{"name": "conjecture_probe", "spec": {"cube": {"mode": "additive", "a0": 849735321550, "generators": [87705687126, 1067347797603], "digits": [0, 1], "ring": {"kind": "integers"}}, "m": 2, "n_max": 6}, "seed": 0, "measured": {"|Q|": "4", "target": "16", "|Q^1|": "4", "|Q^2|": "10", "|Q^3|": "20", "n": "3"}, "bounds": {}, "exponents": {}, "flag": "pass", "wall_ms": 0.050580994866322726, "timestamp": "2026-10-18T11:09:10.879003+00:00", "key": "378d58f3d5447b711b87b8b9efe1e2c756e75bce37747fcb208f8724705cbdec"}',
+)
+
+
+def test_frozen_log_lines_load_and_resume(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(line + "\n" for line in FROZEN_LINES))
+    frozen = load_log(log)
+    assert [r.name for r in frozen] == FROZEN_CONFIG["experiments"]
+    assert [r.key for r in frozen] == [json.loads(line)["key"] for line in FROZEN_LINES]
+    assert run_campaign(FROZEN_CONFIG, log) == []
+    fresh = run_campaign(FROZEN_CONFIG, tmp_path / "fresh.jsonl")
+    assert [r.comparable() for r in fresh] == [r.comparable() for r in frozen]
 
 
 def test_campaign_parallel_matches_serial(tmp_path):
