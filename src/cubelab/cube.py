@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product, repeat, starmap
+from operator import mod
 
-from .numeric import PRIME_FIELD, AmbientRing, CapExceededError, _require_keys
-
-ADDITIVE = "additive"
-MULTIPLICATIVE = "multiplicative"
+from .numeric import _ARITH, ADDITIVE, MULTIPLICATIVE, AmbientRing, CapExceededError, _require_keys, mode_ops
 
 # Cap on the number of digit vectors a single enumeration may touch.
 DEFAULT_ENUM_CAP = 1 << 24
@@ -65,16 +64,18 @@ class FiniteSet:
     @classmethod
     def from_lines(cls, ring: AmbientRing, text: str) -> "FiniteSet":
         values = []
-        for raw in text.splitlines():
+        for number, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "/" in line:
-                if ring.is_field:
-                    raise ValueError(f"{line!r}: prime-field elements are residues, not fractions")
-                values.append(Fraction(line))
-            else:
-                values.append(int(line))
+            if "/" in line and ring.is_field:
+                raise ValueError(f"{line!r}: prime-field elements are residues, not fractions")
+            try:
+                values.append(Fraction(line) if "/" in line else int(line))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"line {number}: {line!r} is not an integer or a fraction with a nonzero denominator"
+                ) from None
         return cls.from_iterable(ring, values)
 
 
@@ -89,8 +90,7 @@ class CubeSpec:
     mode: str = ADDITIVE
 
     def __post_init__(self) -> None:
-        if self.mode not in (ADDITIVE, MULTIPLICATIVE):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        mode_ops(self.mode)
         digits = tuple(sorted(set(int(c) for c in self.digits)))
         if len(digits) < 2:
             raise ValueError("digit set needs at least two digits")
@@ -135,7 +135,8 @@ class CubeSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CubeSpec":
-        _require_keys(data, ("ring", "a0", "generators", "digits", "mode"), "cube spec")
+        _require_keys(data, ("ring", "a0", "generators", "digits", "mode"), "cube spec",
+                      lists=("generators", "digits"))
         return cls(
             ring=AmbientRing.from_json_dict(data["ring"]),
             a0=int(data["a0"]),
@@ -149,39 +150,28 @@ def _vector_count(spec: CubeSpec) -> int:
     return len(spec.digits) ** spec.dimension
 
 
+def _grow(spec: CubeSpec, values: set, g: int) -> set:
+    """One generator step: values together with v op c*g for every nonzero
+    digit c (multiplicative cubes have the one nonzero digit 1)."""
+    op = _ARITH[mode_ops(spec.mode)[0]]
+    steps = [c * g for c in spec.digits[1:]]
+    p = spec.ring.modulus
+    if p is not None:
+        return values.union(map(mod, starmap(op, product(values, steps)), repeat(p)))
+    if op(max(map(abs, values)), max(map(abs, steps))) > spec.ring.magnitude_cap:
+        raise CapExceededError("cube values exceed the magnitude cap")
+    return values.union(starmap(op, product(values, steps)))
+
+
 def _value_set(spec: CubeSpec, cap: int) -> set:
     """Raw Python set of cube values, built one generator at a time."""
     if _vector_count(spec) > cap:
         raise CapExceededError(
             f"{len(spec.digits)}^{spec.dimension} digit vectors exceed cap {cap}"
         )
-    ring = spec.ring
     values = {spec.a0}
-    if spec.mode == ADDITIVE:
-        if ring.kind == PRIME_FIELD:
-            p = ring.modulus
-            for g in spec.generators:
-                steps = [(c * g) % p for c in spec.digits]
-                values = {(v + s) % p for v in values for s in steps}
-        else:
-            cap_mag = ring.magnitude_cap
-            for g in spec.generators:
-                steps = [c * g for c in spec.digits]
-                big = max(abs(s) for s in steps)
-                if max(abs(v) for v in values) + big > cap_mag:
-                    raise CapExceededError("cube values exceed the magnitude cap")
-                values = {v + s for v in values for s in steps}
-    else:
-        if ring.kind == PRIME_FIELD:
-            p = ring.modulus
-            for g in spec.generators:
-                values = values | {(v * g) % p for v in values}
-        else:
-            cap_mag = ring.magnitude_cap
-            for g in spec.generators:
-                if max(abs(v) for v in values) * abs(g) > cap_mag:
-                    raise CapExceededError("cube values exceed the magnitude cap")
-                values = values | {v * g for v in values}
+    for g in spec.generators:
+        values = _grow(spec, values, g)
     return values
 
 
@@ -244,20 +234,13 @@ def split_balanced(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP):
     shrinks a side and multiplies it by at most |D|; growing the smaller
     side therefore keeps the larger within a factor |D| of the smaller.
     """
-    ring = spec.ring
     sides: list[set] = [{spec.a0}, {spec.a0}]
     index_sides: list[list[int]] = [[], []]
     if len(spec.digits) ** spec.dimension > cap:
         raise CapExceededError("subcube enumeration exceeds cap")
     for j, g in enumerate(spec.generators):
         pick = 0 if len(sides[0]) <= len(sides[1]) else 1
-        cur = sides[pick]
-        if spec.mode == ADDITIVE:
-            steps = [ring.mul(c, g) for c in spec.digits]
-            cur = {ring.add(v, s) for v in cur for s in steps}
-        else:
-            cur = cur | {ring.mul(v, g) for v in cur}
-        sides[pick] = cur
+        sides[pick] = _grow(spec, sides[pick], g)
         index_sides[pick].append(j)
     if len(sides[0]) > len(sides[1]):
         sides.reverse()

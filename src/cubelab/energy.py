@@ -19,16 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
-from .setops import (
-    DEFAULT_PAIR_CAP,
-    DIFF,
-    PROD,
-    RATIO,
-    SUM,
-    _convolve_counts,
-    _pair_keys,
-)
+from .cube import ADDITIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
+from .numeric import RATIO, SUM, mode_ops
+from .setops import DEFAULT_PAIR_CAP, _fold_counts, _pair_keys
 
 BRUTE_FORCE_THRESHOLD = 10**4
 
@@ -49,10 +42,6 @@ class EnergyReport:
             "inputs": list(self.inputs),
             "method": self.method,
         }
-
-
-def _sum_sq(counts: dict) -> int:
-    return sum(c * c for c in counts.values())
 
 
 def _pair_energy(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int = 2) -> int:
@@ -115,23 +104,15 @@ def energy_pair(
         B = A
     if A.ring != B.ring:
         raise ValueError("operands live in different rings")
-    if mode == ADDITIVE:
-        value = _pair_energy(SUM, A, B, cap)
-        if value != _pair_energy(DIFF, A, B, cap):
-            raise AssertionError("sum and difference energy routes disagree")
-        kind = "eplus"
-    elif mode == MULTIPLICATIVE:
-        value = _pair_energy(PROD, A, B, cap)
-        if 0 not in B and value != _pair_energy(RATIO, A, B, cap):
-            raise AssertionError("product and ratio energy routes disagree")
-        kind = "etimes"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    op, inverse = mode_ops(mode)
+    value = _pair_energy(op, A, B, cap)
+    if (inverse != RATIO or 0 not in B) and value != _pair_energy(inverse, A, B, cap):
+        raise AssertionError(f"{op} and {inverse} energy routes disagree")
     if len(A) * len(B) <= BRUTE_FORCE_THRESHOLD:
         if value != _brute_pair_energy(mode, A, B):
             raise AssertionError("convolution and brute-force energies disagree")
     return EnergyReport(
-        kind=kind,
+        kind="eplus" if op == SUM else "etimes",
         k=2,
         value=value,
         inputs=labels or (f"A[{len(A)}]", f"B[{len(B)}]"),
@@ -144,14 +125,10 @@ def energy_k(mode: str, A: FiniteSet, k: int, *, cap: int = DEFAULT_PAIR_CAP) ->
     multiplicative mode, which therefore requires 0 not in A)."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    if mode == ADDITIVE:
-        value = _pair_energy(DIFF, A, A, cap, k)
-    elif mode == MULTIPLICATIVE:
-        if 0 in A:
-            raise ValueError("multiplicative k-energy needs 0 outside the set")
-        value = _pair_energy(RATIO, A, A, cap, k)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    inverse = mode_ops(mode)[1]
+    if inverse == RATIO and 0 in A:
+        raise ValueError("multiplicative k-energy needs 0 outside the set")
+    value = _pair_energy(inverse, A, A, cap, k)
     return EnergyReport(kind="ek", k=k, value=value, inputs=(f"A[{len(A)}]",), method="convolution")
 
 
@@ -159,18 +136,9 @@ def energy_tk(mode: str, A: FiniteSet, k: int, *, cap: int = DEFAULT_PAIR_CAP) -
     """T_k(A) = sum over x of r_{kA}(x)^2, kA the k-fold sum (product) set."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if mode == ADDITIVE:
-        op = SUM
-    elif mode == MULTIPLICATIVE:
-        op = PROD
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    counts = dict.fromkeys(A.elements, 1)
-    for _ in range(k - 1):
-        counts = _convolve_counts(A.ring, counts, A.elements, op, cap)
-    return EnergyReport(
-        kind="tk", k=k, value=_sum_sq(counts), inputs=(f"A[{len(A)}]",), method="convolution"
-    )
+    counts = _fold_counts(A.ring, A.elements, mode_ops(mode)[0], k, cap)
+    value = sum(c * c for c in counts.values())
+    return EnergyReport(kind="tk", k=k, value=value, inputs=(f"A[{len(A)}]",), method="convolution")
 
 
 def partition_count(k: int, h: int, m: int) -> int:

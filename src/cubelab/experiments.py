@@ -381,7 +381,7 @@ def expand_campaign(config: dict) -> list[dict]:
     Each task holds its cube, drawn here once, inside the spec of the
     record it will produce, so its key is known before it runs.
     """
-    _require_keys(config, (), "campaign config")
+    _require_keys(config, (), "campaign config", lists=("experiments", "dRange", "hRange", "seeds", "pList"))
     d_lo, d_hi = config.get("dRange", [2, 6])
     h_lo, h_hi = config.get("hRange", [1, 1])
     seeds = config.get("seeds", [0])

@@ -219,7 +219,7 @@ def instance_to_json(p: int, points, lines: LineSet | None = None, planes: Plane
 
 
 def instance_from_json(text: str) -> dict:
-    data = _require_keys(json.loads(text), ("p", "points"), "instance")
+    data = _require_keys(json.loads(text), ("p", "points"), "instance", lists=("points", "lines", "planes"))
     p = int(data["p"])
     _require_prime(p)
     points = [tuple(pt) for pt in data["points"]]

@@ -12,9 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 INTEGERS = "integers"
 PRIME_FIELD = "prime_field"
+
+ADDITIVE = "additive"
+MULTIPLICATIVE = "multiplicative"
+
+SUM = "sum"
+DIFF = "diff"
+PROD = "prod"
+RATIO = "ratio"
+
+# Each mode's op and the op that undoes it: the paper's results come in
+# these dual pairs, and every mode-dependent choice of the package reads them.
+MODE_OPS = {ADDITIVE: (SUM, DIFF), MULTIPLICATIVE: (PROD, RATIO)}
+
+# The ops on plain Python values; a ratio of ints is not an int.
+_ARITH = {SUM: add, DIFF: sub, PROD: mul}
 
 # Generous default: multiplicative cubes over Z with a couple dozen
 # moderate generators stay well inside this.
@@ -25,14 +41,26 @@ class CapExceededError(RuntimeError):
     """An enumeration, pairing, grid, or magnitude cap was exceeded."""
 
 
-def _require_keys(data, keys, what: str):
-    """data, once it is known to be a JSON object holding every one of keys."""
+def _require_keys(data, keys, what: str, lists=()):
+    """data, once it is known to be a JSON object holding every one of keys,
+    whose values under lists, where present, are JSON arrays."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} is not a JSON object")
     missing = [key for key in keys if key not in data]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(missing)}")
+    for key in lists:
+        if key in data and not isinstance(data[key], list):
+            raise ValueError(f"{what}: {key} is not a JSON array")
     return data
+
+
+def mode_ops(mode) -> tuple[str, str]:
+    """(op, inverse op) of a mode: (sum, diff) or (prod, ratio)."""
+    ops = MODE_OPS.get(mode) if isinstance(mode, str) else None
+    if ops is None:
+        raise ValueError(f"unknown mode {mode!r}")
+    return ops
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -105,7 +133,7 @@ class AmbientRing:
     def _checked(self, x: int) -> int:
         if x > self.magnitude_cap or -x > self.magnitude_cap:
             raise CapExceededError(
-                f"magnitude {x.bit_length()} bits exceeds cap "
+                f"magnitude {int(x).bit_length()} bits exceeds cap "
                 f"{self.magnitude_cap.bit_length() - 1} bits"
             )
         return x

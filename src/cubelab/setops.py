@@ -22,20 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product, repeat, starmap
 from math import gcd
-from operator import add, mod, mul, sub
+from operator import mod
 
 from .cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
-from .numeric import INTEGERS, AmbientRing, CapExceededError
-
-SUM = "sum"
-DIFF = "diff"
-PROD = "prod"
-RATIO = "ratio"
+from .numeric import _ARITH, DIFF, INTEGERS, PROD, RATIO, SUM, AmbientRing, CapExceededError, mode_ops
 
 DEFAULT_PAIR_CAP = 1 << 26
 DEFAULT_GRID_CAP = 1 << 24
-
-_ARITH = {SUM: add, DIFF: sub, PROD: mul}
 
 
 @dataclass(frozen=True)
@@ -251,6 +244,29 @@ def _convolve_counts(ring: AmbientRing, counts: dict, values: tuple, op: str, ca
     return out
 
 
+def _fold_counts(ring: AmbientRing, values: tuple, op: str, k: int, cap: int) -> dict:
+    """r_{kA}: how many k-tuples of values combine under op to each element."""
+    counts = dict.fromkeys(values, 1)
+    for _ in range(k - 1):
+        counts = _convolve_counts(ring, counts, values, op, cap)
+    return counts
+
+
+def _scalar_op(op: str, ring: AmbientRing):
+    """a op b on two elements of ring: the ring's cap-checked +, - and x over
+    Z, where a ratio is a Fraction; residues over F_p, where a ratio
+    multiplies by the inverse of b."""
+    p = ring.modulus
+    if p is None:
+        return {SUM: ring.add, DIFF: ring.sub, PROD: ring.mul, RATIO: Fraction}[op]
+    return {
+        SUM: lambda a, b: (a + b) % p,
+        DIFF: lambda a, b: (a - b) % p,
+        PROD: lambda a, b: a * b % p,
+        RATIO: lambda a, b: a * pow(b, -1, p) % p,
+    }[op]
+
+
 def iterate_sum(
     spec: CubeSpec,
     k: int,
@@ -279,10 +295,7 @@ def iterate_sum(
     value_set = enumerate_cube(folded, cap=enum_cap)
     if not with_multiplicities:
         return value_set, None
-    base = enumerate_cube(spec, cap=enum_cap)
-    counts = dict.fromkeys(base.elements, 1)
-    for _ in range(k - 1):
-        counts = _convolve_counts(ring, counts, base.elements, SUM, pair_cap)
+    counts = _fold_counts(ring, enumerate_cube(spec, cap=enum_cap).elements, SUM, k, pair_cap)
     if set(counts) != set(value_set.elements):
         raise AssertionError("convolution support disagrees with direct enumeration")
     return value_set, MultiplicityMap(ring, counts)
@@ -324,12 +337,6 @@ class CorrelationTable:
         return sorted(self.table.items())
 
 
-def _apply_shift(ring: AmbientRing, mode: str, z, x):
-    if mode == ADDITIVE:
-        return ring.add(z, x)
-    return ring.mul(z, x)
-
-
 def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_CAP) -> CorrelationTable:
     """Higher correlation of k+1 sets: sum over z of the shifted indicators.
 
@@ -337,8 +344,7 @@ def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_C
     the whole (finite) support grid.  In multiplicative mode the support
     is infinite when every set contains 0, which is rejected.
     """
-    if mode not in (ADDITIVE, MULTIPLICATIVE):
-        raise ValueError(f"unknown mode {mode!r}")
+    op, inverse = mode_ops(mode)
     sets = list(sets)
     if len(sets) < 2:
         raise ValueError("correlation needs at least two sets")
@@ -349,12 +355,13 @@ def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_C
     k = len(sets) - 1
     base = sets[0]
     members = [s._members for s in sets]
+    shift = _scalar_op(op, ring)
 
     def evaluate(point) -> int:
         total = 0
         for z in base.elements:
             for x, m in zip(point, members[1:]):
-                if _apply_shift(ring, mode, z, x) not in m:
+                if shift(z, x) not in m:
                     break
             else:
                 total += 1
@@ -364,9 +371,8 @@ def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_C
     if shifts == "all":
         if mode == MULTIPLICATIVE and all(0 in m for m in members):
             raise ValueError("correlation support is not finite: 0 lies in every set")
-        op = DIFF if mode == ADDITIVE else RATIO
         # The cap admits every pair: the grid cap below is the limit here.
-        candidates = [pairwise_set(op, s, base, cap=len(s) * len(base)).elements for s in sets[1:]]
+        candidates = [pairwise_set(inverse, s, base, cap=len(s) * len(base)).elements for s in sets[1:]]
         grid = 1
         for cand in candidates:
             grid *= len(cand)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 from math import sqrt
 from operator import add
@@ -26,8 +25,8 @@ from .cube import (
     is_proper,
 )
 from .energy import energy_pair
-from .numeric import PRIME_FIELD, AmbientRing, CapExceededError
-from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, _pair_keys, pairwise_set
+from .numeric import PRIME_FIELD, CapExceededError, mode_ops
+from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, _pair_keys, _scalar_op, pairwise_set
 
 OLMEZOV_TERM_CAP = 10**9
 
@@ -140,30 +139,6 @@ def energy_lower_check(B: FiniteSet, spec: CubeSpec, *, cap: int = DEFAULT_ENUM_
     )
 
 
-def _group_view(mode: str, ring: AmbientRing):
-    """(combine, inverse, identity) for the ambient group of shifts."""
-    if mode == ADDITIVE:
-        return ring.add, ring.neg, ring.normalize(0)
-    if ring.kind == PRIME_FIELD:
-        p = ring.modulus
-
-        def comb(a, b):
-            return a * b % p
-
-        def inv(a):
-            return pow(a, -1, p)
-
-        return comb, inv, 1
-
-    def comb(a, b):
-        return a * b
-
-    def inv(a):
-        return Fraction(1, a) if a not in (1, -1) else a
-
-    return comb, inv, 1
-
-
 def olmezov_sides(
     A: FiniteSet,
     B: FiniteSet,
@@ -191,8 +166,7 @@ def olmezov_sides(
         raise ValueError("need 1 <= s < n")
     if m < 1:
         raise ValueError("need m >= 1")
-    if mode not in (ADDITIVE, MULTIPLICATIVE):
-        raise ValueError(f"unknown mode {mode!r}")
+    op, inverse = mode_ops(mode)
     ring = A.ring
     if B.ring != ring or D.ring != ring:
         raise ValueError("operands live in different rings")
@@ -200,12 +174,15 @@ def olmezov_sides(
         raise ValueError("multiplicative mode needs 0 outside A")
     if len(A) ** m * max(len(B), 1) ** s * (m + s) > term_cap:
         raise CapExceededError("shift grid exceeds the term cap")
-    comb, invert, _ = _group_view(mode, ring)
-    a_members, b_members, d_members = A._members, B._members, D._members
+    comb, undo = _scalar_op(op, ring), _scalar_op(inverse, ring)
+    # Each element of A is inverted once: every shift below is a product with
+    # one of these, and a product is cheaper than a ratio over F_p.
+    inv = {a: undo(0 if op == SUM else 1, a) for a in A.elements}
+    b_members, d_members = B._members, D._members
 
     sigma = 0
     for x in A.elements:
-        ix = invert(x)
+        ix = inv[x]
         for y in B.elements:
             if comb(y, ix) in d_members:
                 sigma += 1
@@ -227,30 +204,20 @@ def olmezov_sides(
             corr_memo[xs] = val
         return val
 
-    inv_memo: dict = {}
-
-    def inv_of(x):
-        val = inv_memo.get(x)
-        if val is None:
-            val = invert(x)
-            inv_memo[x] = val
-        return val
-
     grid_sum = 0
     power = n - s
     for z in A.elements:
-        iz = inv_of(z)
+        iz = inv[z]
         xs_cand = [comb(a, iz) for a in A.elements]
-        ys_cand = [comb(b, iz) for b in B.elements]
-        for xs in iter_product(xs_cand, repeat=m - 1):
+        # The inverse of a z^-1 is z a^-1, so the two products below run in step.
+        inv_cand = [comb(z, inv[a]) for a in A.elements]
+        ys_cand = [y for y in (comb(b, iz) for b in B.elements) if y in d_members]
+        for xs, inv_xs in zip(iter_product(xs_cand, repeat=m - 1), iter_product(inv_cand, repeat=m - 1)):
             cm = corr_m_of_b(xs)
             if cm == 0:
                 continue
-            inv_xs = [inv_of(x) for x in xs]
             live = 0
             for y in ys_cand:
-                if y not in d_members:
-                    continue
                 for ixj in inv_xs:
                     if comb(y, ixj) not in d_members:
                         break

@@ -147,10 +147,16 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
             "genDistribution": "uniform(1..2)",
             "properOnly": True,
         },
+        # JSON values of the wrong type.
+        "points5.json": {"p": 5, "points": 5},
+        "gens5.json": {"ring": {"kind": "integers"}, "a0": 0, "generators": 5, "digits": [0, 1],
+                       "mode": "additive"},
+        "seeds5.json": {"experiments": ["growth_additive"], "seeds": 5},
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     (tmp_path / "half.txt").write_text("1/2\n3\n")
+    (tmp_path / "zero.txt").write_text("3\n1/0\n")
     # A log record without its flag.
     record = json.loads(run_cli(capsys, "conjecture", "--gens", "1,4", "-m", "1")[1])
     del record["flag"]
@@ -160,6 +166,10 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         (["incidence", "2d", "inst.json"], "points"),
         (["setop", "sum", "--ring", "fp", "--p", "7", "half.txt"], "fraction"),
         (["setop", "sum", "missing.txt"], "missing.txt"),
+        (["setop", "sum", "zero.txt"], "line 2"),
+        (["incidence", "2d", "points5.json", "--all-lines"], "points"),
+        (["cube", "gen", "--spec", "gens5.json"], "generators"),
+        (["campaign", "run", "seeds5.json", "--log", "out.jsonl"], "seeds"),
         (["campaign", "run", "list.json", "--log", "out.jsonl"], "JSON object"),
         (["campaign", "run", "improper.json", "--log", "out.jsonl"], "proper"),
         (["campaign", "export", "--log", "log.jsonl", "--csv", "out.csv"], "flag"),

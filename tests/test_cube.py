@@ -1,6 +1,8 @@
 """Cube enumeration, properness, subcubes, symmetry, and balanced splits."""
 
 import json
+import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,13 @@ def test_enum_cap():
     tight = AmbientRing.integers(magnitude_cap=10)
     with pytest.raises(CapExceededError):
         enumerate_cube(CubeSpec(ring=tight, a0=0, generators=(9, 9), digits=(0, 1)))
+    # The magnitude bound is the worst case |a0| + 4 * 123 > 500, though every
+    # value fits; split_balanced grows its sides by the same step.
+    capped = CubeSpec(ring=AmbientRing.integers(magnitude_cap=500), a0=-15, generators=(123,), digits=(0, 4))
+    with pytest.raises(CapExceededError):
+        enumerate_cube(capped)
+    with pytest.raises(CapExceededError):
+        split_balanced(capped)
 
 
 def test_finite_set_lines_round_trip():
@@ -163,17 +172,52 @@ def test_finite_set_lines_round_trip():
     assert [str(x) for x in parsed.elements] == ["-7", "1", "3/2"]
 
 
+F17 = AmbientRing.prime_field(17)
+
+
 @st.composite
-def small_cubes(draw):
+def small_cubes(draw, general=True):
+    """Cubes of dimension 1-5: additive interval cubes over Z with positive
+    generators, and with general also multiplicative cubes, cubes over F_17,
+    negative generators and missing-digit sets."""
     d = draw(st.integers(min_value=1, max_value=5))
-    gens = draw(st.lists(st.integers(min_value=1, max_value=50), min_size=d, max_size=d))
-    h = draw(st.integers(min_value=1, max_value=3))
-    a0 = draw(st.integers(min_value=-20, max_value=20))
-    return cube(gens, digits=tuple(range(h + 1)), a0=a0)
+    if not general:
+        gens = draw(st.lists(st.integers(min_value=1, max_value=50), min_size=d, max_size=d))
+        h = draw(st.integers(min_value=1, max_value=3))
+        a0 = draw(st.integers(min_value=-20, max_value=20))
+        return cube(gens, digits=tuple(range(h + 1)), a0=a0)
+    ring = draw(st.sampled_from([Z, F17]))
+    nonzero = st.integers(min_value=-50, max_value=50).filter(lambda g: g % 17 if ring.is_field else g)
+    gens = draw(st.lists(nonzero, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        return cube(gens, a0=draw(nonzero), ring=ring, mode=MULTIPLICATIVE)
+    digits = draw(st.sets(st.integers(min_value=1, max_value=4), min_size=1)) | {0}
+    return cube(gens, digits=tuple(digits), a0=draw(st.integers(min_value=-20, max_value=20)), ring=ring)
+
+
+def _digit_vector_values(spec):
+    """The cube's value set by a walk over all |D|^d digit vectors."""
+    p = spec.ring.modulus
+    values = set()
+    for eps in product(spec.digits, repeat=spec.dimension):
+        if spec.mode == ADDITIVE:
+            v = spec.a0 + sum(e * g for e, g in zip(eps, spec.generators))
+        else:
+            v = spec.a0 * math.prod(g**e for e, g in zip(eps, spec.generators))
+        values.add(v if p is None else v % p)
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_cubes())
+def test_enumeration_matches_digit_vectors(spec):
+    values = _digit_vector_values(spec)
+    assert enumerate_cube(spec).elements == tuple(sorted(values))
+    assert is_proper(spec) == (len(values) == len(spec.digits) ** spec.dimension)
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_cubes())
+@given(small_cubes(general=False))
 def test_size_between_trivial_bounds(spec):
     q = len(enumerate_cube(spec))
     assert q <= len(spec.digits) ** spec.dimension
@@ -182,12 +226,12 @@ def test_size_between_trivial_bounds(spec):
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_cubes())
+@given(small_cubes(general=False))
 def test_interval_cubes_always_symmetric(spec):
     assert is_symmetric(spec)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(small_cubes())
 def test_split_sandwich_property(spec):
     xs, ys = split_balanced(spec)

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubelab.cube import CubeSpec, FiniteSet
+from cubelab.energy import energy_k, energy_pair, energy_tk
 from cubelab.numeric import (
     DEFAULT_MAGNITUDE_CAP,
     AmbientRing,
     CapExceededError,
     is_prime,
 )
+from cubelab.setops import correlation
+from cubelab.structure import olmezov_sides
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                     53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -90,6 +94,8 @@ def test_magnitude_cap_fires():
         ring.add(-90, -20)
     with pytest.raises(CapExceededError):
         ring.normalize(101)
+    with pytest.raises(CapExceededError):
+        ring.add(Fraction(1, 2), 100)
 
 
 def test_normalize_fractions():
@@ -120,3 +126,24 @@ def test_default_cap_allows_512_bits():
     assert ring.normalize(DEFAULT_MAGNITUDE_CAP) == DEFAULT_MAGNITUDE_CAP
     with pytest.raises(CapExceededError):
         ring.mul(DEFAULT_MAGNITUDE_CAP, 2)
+
+
+_S = FiniteSet.from_iterable(AmbientRing.integers(), [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mode: CubeSpec(ring=AmbientRing.integers(), a0=1, generators=(2,), mode=mode),
+        lambda mode: energy_pair(mode, _S),
+        lambda mode: energy_k(mode, _S, 2),
+        lambda mode: energy_tk(mode, _S, 2),
+        lambda mode: correlation(mode, [_S, _S]),
+        lambda mode: olmezov_sides(_S, _S, _S, 2, 1, 1, mode),
+    ],
+    ids=["CubeSpec", "energy_pair", "energy_k", "energy_tk", "correlation", "olmezov_sides"],
+)
+@pytest.mark.parametrize("mode", ["bogus", ["additive"]])
+def test_unknown_mode_is_a_value_error(call, mode):
+    with pytest.raises(ValueError, match="unknown mode"):
+        call(mode)

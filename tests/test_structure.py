@@ -192,10 +192,12 @@ def test_olmezov_matches_brute_grid_additive():
 
 def test_olmezov_matches_brute_grid_multiplicative():
     rng = random.Random(22)
-    for _ in range(10):
-        A = FiniteSet.from_iterable(F11, (rng.randint(1, 10) for _ in range(3)))
-        B = FiniteSet.from_iterable(F11, (rng.randint(1, 10) for _ in range(3)))
-        D = FiniteSet.from_iterable(F11, (rng.randint(0, 10) for _ in range(3)))
+    cases = [[FiniteSet.from_iterable(F11, (rng.randint(lo, 10) for _ in range(3))) for lo in (1, 1, 0)]
+             for _ in range(10)]
+    # Over Z, A has elements of both signs and the shifts are Fractions.
+    cases += [[zset(*(rng.choice([1, -1]) * rng.randint(1, 6) for _ in range(3)))]
+              + [zset(*(rng.randint(lo, 6) for _ in range(3))) for lo in (-6, -7)] for _ in range(10)]
+    for A, B, D in cases:
         for n, s, m in [(2, 1, 2), (3, 2, 2)]:
             verdict = olmezov_sides(A, B, D, n, s, m, mode=MULTIPLICATIVE)
             assert verdict.rhs == _brute_olmezov_rhs(A, B, D, n, s, m, MULTIPLICATIVE)
@@ -228,6 +230,15 @@ def test_olmezov_validation():
         olmezov_sides(zset(0, 1), B, D, 2, 1, 1, mode=MULTIPLICATIVE)
     with pytest.raises(CapExceededError):
         olmezov_sides(zset(*range(100)), zset(*range(100)), D, 3, 2, 3, term_cap=10)
+
+
+def test_olmezov_multiplicative_shifts_respect_the_magnitude_cap():
+    # The shift 50 takes 20 in B to 1000, past the cap of 500.
+    capped = AmbientRing.integers(magnitude_cap=500)
+    A, B, D = (FiniteSet.from_iterable(capped, v) for v in ([1, 50], [20], [1]))
+    with pytest.raises(CapExceededError):
+        olmezov_sides(A, B, D, 2, 1, 2, MULTIPLICATIVE)
+    assert olmezov_sides(A, B, D, 2, 1, 1, MULTIPLICATIVE).passed
 
 
 # --- projection bound -------------------------------------------------------
