@@ -34,7 +34,7 @@ from .cube import (
 )
 from .energy import energy_pair
 from .floors import clears_floor
-from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError, _require_keys
+from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError, _require_ints, _require_keys
 from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, pairwise_set, pairwise_size
 
 TARGET_OPS = {"QQ": PROD, "Q/Q": RATIO, "Q+Q": SUM, "Q-Q": DIFF}
@@ -52,7 +52,7 @@ _DIST_RE = re.compile(r"^(powers)\((\d+)\)$|^(uniform)\((-?\d+)\.\.(-?\d+)\)$")
 
 
 def parse_distribution(text: str):
-    m = _DIST_RE.match(text.strip())
+    m = _DIST_RE.match(text.strip()) if isinstance(text, str) else None
     if not m:
         raise ValueError(f"cannot parse distribution {text!r}")
     if m.group(1):
@@ -372,7 +372,8 @@ _KIND_MODES = {
 
 def _campaign_rings(config: dict) -> list[AmbientRing]:
     rings = [AmbientRing.integers()] if config.get("includeIntegers", True) else []
-    return rings + [AmbientRing.prime_field(int(p)) for p in config.get("pList", [])]
+    primes = _require_ints(config.get("pList", []), "campaign config: pList")
+    return rings + [AmbientRing.prime_field(p) for p in primes]
 
 
 def expand_campaign(config: dict) -> list[dict]:
@@ -381,15 +382,22 @@ def expand_campaign(config: dict) -> list[dict]:
     Each task holds its cube, drawn here once, inside the spec of the
     record it will produce, so its key is known before it runs.
     """
-    _require_keys(config, (), "campaign config", lists=("experiments", "dRange", "hRange", "seeds", "pList"))
-    d_lo, d_hi = config.get("dRange", [2, 6])
-    h_lo, h_hi = config.get("hRange", [1, 1])
-    seeds = config.get("seeds", [0])
-    caps = config.get("caps", {})
+    what = "campaign config"
+    _require_keys(config, (), what, lists=("experiments",))
+    d_lo, d_hi = _require_ints(config.get("dRange", [2, 6]), f"{what}: dRange", 2)
+    h_lo, h_hi = _require_ints(config.get("hRange", [1, 1]), f"{what}: hRange", 2)
+    seeds = _require_ints(config.get("seeds", [0]), f"{what}: seeds")
+    caps = _require_keys(config.get("caps", {}), (), f"{what}: caps")
+    _require_ints(list(caps.values()), f"{what}: caps values")
+    params = _require_keys(config.get("conjecture", {}), (), f"{what}: conjecture")
+    m, n_max = _require_ints([params.get("m", 2), params.get("nMax", 12)], f"{what}: conjecture m, nMax")
+    for key in ("properOnly", "includeIntegers"):
+        if type(config.get(key, True)) is not bool:
+            raise ValueError(f"{what}: {key} is not true or false")
     draw = random_proper_cube if config.get("properOnly", False) else random_cube
     tasks: list[dict] = []
     for kind in config.get("experiments", []):
-        if kind not in _KIND_MODES:
+        if not isinstance(kind, str) or kind not in _KIND_MODES:
             raise ValueError(f"unknown experiment {kind!r}")
         mode = _KIND_MODES[kind]
         heights = [h for h in range(h_lo, h_hi + 1) if mode == ADDITIVE or h == 1]
@@ -398,8 +406,7 @@ def expand_campaign(config: dict) -> list[dict]:
             extra = {"targets": list(_DEFAULT_TARGETS[mode])}
         elif kind == "conjecture_probe":
             heights = [1]
-            params = config.get("conjecture", {})
-            extra = {"m": int(params.get("m", 2)), "n_max": int(params.get("nMax", 12))}
+            extra = {"m": m, "n_max": n_max}
         for ring in _campaign_rings(config):
             for d in range(d_lo, d_hi + 1):
                 for h in heights:

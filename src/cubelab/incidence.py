@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .numeric import _require_keys, is_prime
+from .numeric import _require_ints, _require_keys, is_prime
 
 
 def _require_prime(p: int) -> None:
@@ -220,17 +220,27 @@ def instance_to_json(p: int, points, lines: LineSet | None = None, planes: Plane
 
 def instance_from_json(text: str) -> dict:
     data = _require_keys(json.loads(text), ("p", "points"), "instance", lists=("points", "lines", "planes"))
-    p = int(data["p"])
+    (p,) = _require_ints([data["p"]], "instance: p")
     _require_prime(p)
-    points = [tuple(pt) for pt in data["points"]]
+    dim = 3 if "planes" in data else 2
+    points = [tuple(_require_ints(pt, f"instance: points entry {i}", dim))
+              for i, pt in enumerate(data["points"])]
     out: dict = {"p": p}
     if "planes" in data:
         out["points"] = normalize_points_3d(p, points)
-        out["planes"] = PlaneSet.from_coefficients(p, [tuple(row) for row in data["planes"]])
+        rows = [tuple(_require_ints(row, f"instance: planes entry {i}", 4))
+                for i, row in enumerate(data["planes"])]
+        out["planes"] = PlaneSet.from_coefficients(p, rows)
     else:
         out["points"] = normalize_points_2d(p, points)
     if "lines" in data:
-        out["lines"] = LineSet.from_lines(
-            p, [Line(bool(ln["vertical"]), int(ln["a"]), int(ln.get("b", 0))) for ln in data["lines"]]
-        )
+        lines = []
+        for i, ln in enumerate(data["lines"]):
+            what = f"instance: lines entry {i}"
+            _require_keys(ln, ("vertical", "a"), what)
+            if type(ln["vertical"]) is not bool:
+                raise ValueError(f"{what}: vertical is not true or false")
+            a, b = _require_ints([ln["a"], ln.get("b", 0)], f"{what}: a, b")
+            lines.append(Line(ln["vertical"], a, b))
+        out["lines"] = LineSet.from_lines(p, lines)
     return out

@@ -55,6 +55,15 @@ def _require_keys(data, keys, what: str, lists=()):
     return data
 
 
+def _require_ints(values, what: str, size: int | None = None):
+    """values, once it is a JSON array of integers, of size entries if given."""
+    if not (isinstance(values, list) and all(type(v) is int for v in values)
+            and size in (None, len(values))):
+        count = "" if size is None else f"{size} "
+        raise ValueError(f"{what}: expected an array of {count}integers, got {values!r}")
+    return values
+
+
 def mode_ops(mode) -> tuple[str, str]:
     """(op, inverse op) of a mode: (sum, diff) or (prod, ratio)."""
     ops = MODE_OPS.get(mode) if isinstance(mode, str) else None

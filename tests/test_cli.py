@@ -152,6 +152,12 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         "gens5.json": {"ring": {"kind": "integers"}, "a0": 0, "generators": 5, "digits": [0, 1],
                        "mode": "additive"},
         "seeds5.json": {"experiments": ["growth_additive"], "seeds": 5},
+        # JSON values of the wrong type one level down.
+        "caps5.json": {"experiments": ["growth_additive"], "caps": 5},
+        "seedsx.json": {"experiments": ["growth_additive"], "seeds": ["x"]},
+        "drange2.json": {"experiments": ["growth_additive"], "dRange": [2]},
+        "point5.json": {"p": 5, "points": [5]},
+        "line5.json": {"p": 5, "points": [[1, 2]], "lines": [5]},
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
@@ -170,6 +176,11 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         (["incidence", "2d", "points5.json", "--all-lines"], "points"),
         (["cube", "gen", "--spec", "gens5.json"], "generators"),
         (["campaign", "run", "seeds5.json", "--log", "out.jsonl"], "seeds"),
+        (["campaign", "run", "caps5.json", "--log", "out.jsonl"], "caps"),
+        (["campaign", "run", "seedsx.json", "--log", "out.jsonl"], "seeds"),
+        (["campaign", "run", "drange2.json", "--log", "out.jsonl"], "dRange"),
+        (["incidence", "2d", "point5.json", "--all-lines"], "points entry 0"),
+        (["incidence", "2d", "line5.json"], "lines entry 0"),
         (["campaign", "run", "list.json", "--log", "out.jsonl"], "JSON object"),
         (["campaign", "run", "improper.json", "--log", "out.jsonl"], "proper"),
         (["campaign", "export", "--log", "log.jsonl", "--csv", "out.csv"], "flag"),

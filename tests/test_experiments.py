@@ -1,6 +1,7 @@
 """Experiment harness: seeded draws, trial records, campaign logs."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,31 @@ def test_expand_campaign_task_count():
     assert len(tasks) == 8 + 8
     with pytest.raises(ValueError):
         expand_campaign({"experiments": ["nope"]})
+
+
+def test_expand_campaign_rejects_values_of_the_wrong_type():
+    # caps 5, seeds ["x"] and dRange [2] are among the CLI's usage errors.
+    for key, value in [("caps", {"pair": "x"}), ("seeds", [True]), ("hRange", [1, 2, 3]), ("pList", ["101"]),
+                       ("conjecture", 5), ("conjecture", {"m": [2]}), ("includeIntegers", "false"),
+                       ("properOnly", 1)]:
+        with pytest.raises(ValueError, match=key):
+            expand_campaign(dict(CONFIG, **{key: value}))
+    with pytest.raises(ValueError, match="distribution"):
+        expand_campaign(dict(CONFIG, genDistribution=5))
+    with pytest.raises(ValueError, match="experiment"):
+        expand_campaign(dict(CONFIG, experiments=[["growth_additive"]]))
+
+
+def test_campaign_records_do_not_depend_on_numpy(tmp_path, monkeypatch):
+    # d=8 cubes have 2^16 pairs, enough for the numpy lane of pairwise_size
+    # over Z and F_10007; hiding numpy sends every size to the Python route.
+    config = {"experiments": ["growth_additive", "growth_multiplicative"], "dRange": [7, 8],
+              "pList": [10007], "seeds": [0, 1]}
+    with_numpy = run_campaign(config, tmp_path / "with.jsonl")
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    without = run_campaign(config, tmp_path / "without.jsonl")
+    assert len(with_numpy) == 16
+    assert json.dumps([r.comparable() for r in without]) == json.dumps([r.comparable() for r in with_numpy])
 
 
 def test_campaign_idempotent(tmp_path):

@@ -2,6 +2,8 @@
 higher correlations, checked against brute-force recounts."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -9,10 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubelab import setops
 from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet, enumerate_cube
 from cubelab.energy import partition_count
 from cubelab.numeric import AmbientRing, CapExceededError
 from cubelab.setops import (
+    _FINGERPRINT_PRIMES,
+    _LANE_MIN_PAIRS,
+    DEFAULT_PAIR_CAP,
     DIFF,
     PROD,
     RATIO,
@@ -339,3 +345,169 @@ def test_sum_diff_duality(xs, ys):
     neg_b = zset(*[-y for y in ys])
     _, rdiff = pairwise(DIFF, A, neg_b)
     assert dict(rsum.items()) == dict(rdiff.items())
+
+
+# --- the numpy lane of pairwise_size, against the Python route ----------------
+
+try:
+    import numpy  # noqa: F401  (only to learn whether the lane can run)
+
+    HAVE_NUMPY = True
+except ImportError:
+    HAVE_NUMPY = False
+OPS = (SUM, DIFF, PROD, RATIO)
+TINY_PRIMES = (101, 103)
+P31 = 2**31 - 1
+# The smallest prime above 2^31: its residues no longer fit the lane's keys.
+P31_UP = 2147483659
+F10007 = AmbientRing.prime_field(10007)
+
+
+def _python_count(op, A, B, same=False):
+    return len(set(setops._pair_keys(op, A, B, DEFAULT_PAIR_CAP, same)))
+
+
+def _lane_count(op, A, B, same=False, primes=_FINGERPRINT_PRIMES):
+    """The lane on inputs of any size: the threshold is lowered to 0."""
+    return setops._count_distinct(op, A, B, DEFAULT_PAIR_CAP, same, min_pairs=0, primes=primes)
+
+
+@pytest.fixture
+def python_route(monkeypatch):
+    """How often the Python route ran: the lane never calls _pair_keys."""
+    calls = []
+    kernel = setops._pair_keys
+
+    def spy(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(setops, "_pair_keys", spy)
+    return calls
+
+
+def _assert_lane_matches(A, B, primes=_FINGERPRINT_PRIMES):
+    for op in OPS:
+        assert _lane_count(op, A, B, False, primes) == _python_count(op, A, B), (op, A, B)
+        if A.ring.modulus is None:
+            assert _lane_count(op, A, A, True, primes) == _python_count(op, A, A, True), (op, A)
+
+
+_lane_ints = st.one_of(
+    st.integers(-40, 40), st.integers(-(2**31), 2**31), st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 101, -103, 101 * 103, P31, 2 * P31]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_lane_ints, max_size=24),
+    st.lists(_lane_ints, max_size=24),
+    st.sampled_from([None, 7, 101, P31]),
+    st.sampled_from([_FINGERPRINT_PRIMES, TINY_PRIMES]),
+)
+def test_count_lane_matches_python_route(xs, ys, p, primes):
+    ring = Z if p is None else AmbientRing.prime_field(p)
+    _assert_lane_matches(FiniteSet.from_iterable(ring, xs), FiniteSet.from_iterable(ring, ys), primes)
+
+
+def test_tiny_fingerprint_primes_are_recounted(python_route):
+    # 70-bit values: every op over Z is fingerprinted.  Mod 101 and 103 the
+    # 27 x 27 sums and products share keys that are not equal values, so
+    # the count is right only because the repeated keys are recounted.
+    rng = random.Random(5)
+    A = zset(*(rng.randint(-(2**70), 2**70) for _ in range(27)))
+    B = zset(*(b for b in (rng.randint(-(2**70), 2**70) for _ in range(30)) if b % 101 and b % 103))
+    for op in OPS:
+        pairs = [(a, b) for a in A.elements for b in B.elements if op != RATIO or b]
+        prints = {tuple(_scalar_mod(op, a, b, q) for q in TINY_PRIMES) for a, b in pairs}
+        assert len(prints) < _python_count(op, A, B)
+        del python_route[:]
+        assert _lane_count(op, A, B, primes=TINY_PRIMES) == _python_count(op, A, B)
+        assert len(python_route) == 1 + (not HAVE_NUMPY)
+
+
+def _scalar_mod(op, a, b, q):
+    if op == RATIO:
+        return a * pow(b, -1, q) % q
+    return {SUM: a + b, DIFF: a - b, PROD: a * b}[op] % q
+
+
+def test_elements_divisible_by_a_fingerprint_prime(python_route):
+    q1, q2, q3 = _FINGERPRINT_PRIMES[:3]
+    A = zset(0, q1, -q1 * 2**40, q2 * q3, 2**70 + 1, -(2**65))
+    B = zset(q1 * 7, 3, -(2**66), q2, 2**64 + q1)
+    _assert_lane_matches(A, B)
+    # Every prime divides an element of B: no two are usable for ratios.
+    del python_route[:]
+    C = zset(q1 * 2**40, q2, q3 * 5, 2**64 + 1)
+    assert _lane_count(RATIO, A, C, primes=(q1, q2, q3)) == _python_count(RATIO, A, C)
+    assert len(python_route) == 2
+
+
+def test_values_at_the_int64_edge():
+    top = 2**63
+    # 2^62 + 2^62 wraps to -2^63 = (-2^62) + (-2^62) in int64.
+    _assert_lane_matches(zset(2**62, -(2**62)), zset(2**62, -(2**62), 1))
+    _assert_lane_matches(zset(2**62 - 1, -(2**62)), zset(2**62, 0))
+    root = 3037000499  # the largest r with r * r < 2^63
+    _assert_lane_matches(zset(root, -root, 1), zset(root, 2))
+    _assert_lane_matches(zset(root + 1, -root - 1, 1), zset(root + 1, 2))
+    # A product bound of 0 does not put 2^64 into an int64.
+    _assert_lane_matches(zset(0), zset(2**64, -(2**65)))
+    _assert_lane_matches(zset(top - 1, -top + 1, 0), zset(0, 1, -1))
+    # Ratios pack exactly below 2^31 and are fingerprinted from it.
+    _assert_lane_matches(zset(2**31 - 1, -(2**31) + 1, 6), zset(2**31 - 2, 3, -4))
+    _assert_lane_matches(zset(2**31, -(2**31), 6), zset(2**31 - 2, 3, -4))
+    # Packed as num * 2^31 + den, 1 / (2^31 + 3) would meet 2 / 3.
+    _assert_lane_matches(zset(1, 2), zset(3, 2**31 + 3))
+
+
+def test_prime_field_edge(python_route):
+    for p in (P31, P31_UP):
+        ring = AmbientRing.prime_field(p)
+        rng = random.Random(p)
+        A = FiniteSet.from_iterable(ring, [0, 1, p - 1] + [rng.randrange(p) for _ in range(20)])
+        B = FiniteSet.from_iterable(ring, [0, 2, p - 2] + [rng.randrange(p) for _ in range(20)])
+        del python_route[:]
+        _assert_lane_matches(A, B)
+        # The oracle runs once per op; the lane only where it is out of reach.
+        assert len(python_route) == 4 * (1 + (p >= 2**31 or not HAVE_NUMPY))
+
+
+def test_colliding_big_ints_are_handed_over(python_route):
+    # Sums of an arithmetic progression: most pairs share their value, so
+    # most keys repeat and the Python route takes the input.
+    A = zset(*(2**70 + 3 * k for k in range(30)))
+    del python_route[:]
+    assert _lane_count(SUM, A, A, True) == _python_count(SUM, A, A, True) == 59
+    assert len(python_route) == 2
+    assert _lane_count(DIFF, A, A) == 59
+
+
+def test_pairwise_size_takes_the_lane_from_the_threshold(python_route):
+    for d in (7, 8):
+        Q = enumerate_cube(_cube([3**j for j in range(d)]))
+        del python_route[:]
+        size = pairwise_size(SUM, Q, Q)
+        assert size == len({a + b for a in Q.elements for b in Q.elements}) == 3**d
+        lane = HAVE_NUMPY and len(Q) ** 2 >= _LANE_MIN_PAIRS
+        assert len(python_route) == (not lane), d
+
+
+def test_sizes_without_numpy(monkeypatch):
+    cubes = [
+        enumerate_cube(_cube([3**j for j in range(8)])),
+        enumerate_cube(_cube([2**40 + 7**j for j in range(8)], a0=-(2**39))),
+        enumerate_cube(CubeSpec(F10007, 1, (2, 3, 5, 7, 11, 13, 17, 19), (0, 1), MULTIPLICATIVE)),
+    ]
+    sizes = [pairwise_size(op, Q, Q) for Q in cubes for op in OPS]
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert [pairwise_size(op, Q, Q) for Q in cubes for op in OPS] == sizes
+
+
+def test_import_cubelab_leaves_numpy_out():
+    code = "import sys, cubelab; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
