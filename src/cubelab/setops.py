@@ -17,12 +17,10 @@ Sizes (pairwise_size) are counted by _count_distinct, in one of two lanes:
   for small inputs, for sets holding a Fraction, for F_p with p >= 2^31 and
   when numpy is not installed;
 - the numpy lane, for int sets of at least _LANE_MIN_PAIRS pairs: int64 keys
-  built block by block, sorted, and their runs counted.  A key is the value
-  itself where it fits (sums, differences and products below 2^63, ratios
-  of elements below 2^31 as a reduced (num, den), F_p residues); elsewhere
-  over Z it is a fingerprint, the value's residues mod two primes below
-  2^31 (Karp-Rabin), and every pair whose key repeats is recounted exactly
-  with Python ints or Fractions.
+  built block by block, sorted, and their runs counted.  Over F_p (p < 2^31)
+  a key is the residue itself; over Z it is a fingerprint, the value's
+  residues mod two primes below 2^31 (Karp-Rabin), and every pair whose key
+  repeats is recounted exactly with Python ints or Fractions.
 
 Both lanes give the same size; numpy is imported only when the numpy lane
 is tried, never by ``import cubelab``.
@@ -99,11 +97,6 @@ def _check_pair_cap(A: FiniteSet, B: FiniteSet, cap: int) -> None:
         raise CapExceededError(f"{len(A)}x{len(B)} pairs exceed cap {cap}")
 
 
-def _worst_case(op: str, ma: int, mb: int) -> int:
-    """The largest |a op b| for |a| <= ma and |b| <= mb; 0 for ratios."""
-    return ma + mb if op in (SUM, DIFF) else ma * mb if op == PROD else 0
-
-
 def _check_magnitude(ring: AmbientRing, op: str, A: FiniteSet, B: FiniteSet) -> None:
     """One up-front bound check instead of one per pair."""
     if ring.kind != INTEGERS or not A.elements or not B.elements:
@@ -112,7 +105,8 @@ def _check_magnitude(ring: AmbientRing, op: str, A: FiniteSet, B: FiniteSet) -> 
         return
     ma = max(abs(A.elements[0]), abs(A.elements[-1]))
     mb = max(abs(B.elements[0]), abs(B.elements[-1]))
-    if _worst_case(op, ma, mb) > ring.magnitude_cap:
+    worst = ma + mb if op in (SUM, DIFF) else ma * mb if op == PROD else 0
+    if worst > ring.magnitude_cap:
         raise CapExceededError(f"{op} results would exceed the magnitude cap")
 
 
@@ -183,24 +177,25 @@ def _pair_keys(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool = False
     return chain.from_iterable(keys)
 
 
-def _count_distinct(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool,
-                    *, min_pairs: int = _LANE_MIN_PAIRS, primes=_FINGERPRINT_PRIMES) -> int:
+def _count_distinct(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool) -> int:
     """len(set(_pair_keys(op, A, B, cap, same))), on numpy keys where that
     lane applies (see the module docstring): int elements, Z or F_p with
-    p < 2^31, at least min_pairs pairs in A x B, and numpy importable.
+    p < 2^31, at least _LANE_MIN_PAIRS pairs in A x B, and numpy importable.
 
-    Over Z, values that do not fit an int64 key are fingerprinted mod two
-    of the primes; the pairs whose fingerprint repeats are recounted
-    exactly.  When they are more than half of the pairs, the Python lane is
-    as fast, and takes the input.
+    Over Z the keys are fingerprints mod two of _FINGERPRINT_PRIMES; the
+    pairs whose fingerprint repeats are recounted exactly.  When they are
+    more than half of the pairs, the Python lane is as fast, and takes the
+    input.
     """
-    p = _check_pairs(op, A, B, cap).modulus
     ea, eb = A.elements, B.elements
 
     def python() -> int:
         return len(set(_pair_keys(op, A, B, cap, same)))
 
-    if len(ea) * len(eb) < min_pairs or (p is not None and p >= 1 << 31) or not _all_ints(A, B):
+    if len(ea) * len(eb) < _LANE_MIN_PAIRS:
+        return python()
+    p = _check_pairs(op, A, B, cap).modulus
+    if (p is not None and p >= 1 << 31) or not _all_ints(A, B):
         return python()
     try:
         import numpy as np
@@ -216,10 +211,9 @@ def _count_distinct(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool,
     else:
         xs, ys = ea, [y for y in eb if y] if op == RATIO else eb
     tri = (op in (DIFF, RATIO)) if same else None
-    lane = _lane_keys(np, op, xs, ys, p, primes)
-    if lane is None:
+    keys_of = _lane_keys(np, op, xs, ys, p)
+    if keys_of is None:
         return python()
-    keys_of, exact = lane
     n_rows, n_cols = len(xs), len(ys)
     total = n_rows * n_cols if tri is None else n_rows * (n_rows + 1 - 2 * tri) // 2
     if not total:
@@ -248,13 +242,14 @@ def _count_distinct(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool,
     flat.sort()
     dup = flat[1:] == flat[:-1]
     n_dup = int(np.count_nonzero(dup))
-    if exact is None or not n_dup:
+    if p is not None or not n_dup:
         return total - n_dup
     # Pairs whose fingerprint repeats: n_dup + len(repeated) of them.
     repeated = np.unique(flat[1:][dup])
     del flat, dup
     if 2 * (n_dup + len(repeated)) > total:
         return python()
+    exact = Fraction if op == RATIO else _ARITH[op]
     values = set()
     for i0, j0, keys, keep in blocks():
         hit = repeated[np.minimum(np.searchsorted(repeated, keys), len(repeated) - 1)] == keys
@@ -265,43 +260,27 @@ def _count_distinct(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool,
     return total - n_dup - len(repeated) + len(values)
 
 
-def _lane_keys(np, op: str, xs, ys, p, primes):
-    """(keys_of, exact) for the pairs xs[i] op ys[j] (ys nonzero for ratios),
-    or None when fewer than two fingerprint primes are usable.
-
-    keys_of(rows, cols) gives the int64 keys of a block of rows and columns
-    (two slices) as a 2-D array.  exact is None when the keys are the values
-    themselves; with fingerprint keys it computes a pair's exact value.
+def _lane_keys(np, op: str, xs, ys, p):
+    """keys_of(rows, cols), the int64 keys of the pairs xs[i] op ys[j] (ys
+    nonzero for ratios) over a block of rows and columns (two slices) as a
+    2-D array: residues mod p over F_p, fingerprints mod two primes over Z.
+    None when fewer than two fingerprint primes are usable: a ratio's needs
+    the inverse of every b.
     """
-    ma = max(map(abs, xs), default=0)
-    mb = max(map(abs, ys), default=0)
-    if p is None and op == RATIO and max(ma, mb) < 1 << 31:
-        X = np.array(xs, np.int64)
-        sign, den = np.sign(np.array(ys, np.int64)), np.abs(np.array(ys, np.int64))
-
-        def ratio_keys(rows, cols):
-            num = X[rows, None] * sign[cols]
-            g = np.gcd(num, den[cols])
-            return num // g * (1 << 31) + den[cols] // g
-
-        return ratio_keys, None
-    arith = {SUM: np.add, DIFF: np.subtract, PROD: np.multiply, RATIO: np.multiply}[op]
-    if p is None and op != RATIO and max(ma, mb, _worst_case(op, ma, mb)) < 1 << 63:
-        X, Y = np.array(xs, np.int64), np.array(ys, np.int64)
-        return (lambda rows, cols: arith(X[rows, None], Y[cols])), None
     if p is None:
-        moduli = [q for q in primes if op != RATIO or all(y % q for y in ys)][:2]
+        moduli = [q for q in _FINGERPRINT_PRIMES if op != RATIO or all(y % q for y in ys)][:2]
         if len(moduli) < 2:
             return None
     else:
         moduli = [p]
+    arith = {SUM: np.add, DIFF: np.subtract, PROD: np.multiply, RATIO: np.multiply}[op]
     residues = [
         (q, np.array([x % q for x in xs], np.int64),
          np.array([pow(y, -1, q) if op == RATIO else y % q for y in ys], np.int64))
         for q in moduli
     ]
 
-    def residue_keys(rows, cols):
+    def keys_of(rows, cols):
         keys = None
         for q, X, Y in residues:
             r = arith(X[rows, None], Y[cols])
@@ -313,9 +292,7 @@ def _lane_keys(np, op: str, xs, ys, p, primes):
                 keys |= r
         return keys
 
-    if p is not None:
-        return residue_keys, None
-    return residue_keys, Fraction if op == RATIO else _ARITH[op]
+    return keys_of
 
 
 def _value_set(op: str, A: FiniteSet, B: FiniteSet, cap: int, size_only: bool = False):
