@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product, repeat, starmap
 from operator import mod
 
-from .numeric import _ARITH, ADDITIVE, MULTIPLICATIVE, AmbientRing, CapExceededError, _require_keys, mode_ops
+from .numeric import _ARITH, ADDITIVE, MULTIPLICATIVE, AmbientRing, CapExceededError, _RING_SCHEMA, _check, mode_ops
 
 # Cap on the number of digit vectors a single enumeration may touch.
 DEFAULT_ENUM_CAP = 1 << 24
@@ -135,15 +135,13 @@ class CubeSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CubeSpec":
-        _require_keys(data, ("ring", "a0", "generators", "digits", "mode"), "cube spec",
-                      lists=("generators", "digits"))
-        return cls(
-            ring=AmbientRing.from_json_dict(data["ring"]),
-            a0=int(data["a0"]),
-            generators=tuple(int(g) for g in data["generators"]),
-            digits=tuple(int(c) for c in data["digits"]),
-            mode=data["mode"],
-        )
+        _check(data, _CUBE_SCHEMA, "cube spec")
+        return cls(AmbientRing.from_json_dict(data["ring"]), data["a0"], tuple(data["generators"]),
+                   tuple(data["digits"]), data["mode"])
+
+
+# The JSON shape of a cube spec, as to_json_dict writes it.
+_CUBE_SCHEMA = {"ring": _RING_SCHEMA, "a0": int, "generators": [int], "digits": [int], "mode": str}
 
 
 def _vector_count(spec: CubeSpec) -> int:

@@ -89,7 +89,6 @@ def energy_pair(
     A: FiniteSet,
     B: FiniteSet | None = None,
     *,
-    labels: tuple[str, ...] | None = None,
     cap: int = DEFAULT_PAIR_CAP,
 ) -> EnergyReport:
     """Pair energy of (A, B); B defaults to A.
@@ -102,8 +101,6 @@ def energy_pair(
     """
     if B is None:
         B = A
-    if A.ring != B.ring:
-        raise ValueError("operands live in different rings")
     op, inverse = mode_ops(mode)
     value = _pair_energy(op, A, B, cap)
     if (inverse != RATIO or 0 not in B) and value != _pair_energy(inverse, A, B, cap):
@@ -115,7 +112,7 @@ def energy_pair(
         kind="eplus" if op == SUM else "etimes",
         k=2,
         value=value,
-        inputs=labels or (f"A[{len(A)}]", f"B[{len(B)}]"),
+        inputs=(f"A[{len(A)}]", f"B[{len(B)}]"),
         method="convolution",
     )
 

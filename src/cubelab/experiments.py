@@ -34,7 +34,7 @@ from .cube import (
 )
 from .energy import energy_pair
 from .floors import clears_floor
-from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError, _require_ints, _require_keys
+from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError, _check
 from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, pairwise_set, pairwise_size
 
 TARGET_OPS = {"QQ": PROD, "Q/Q": RATIO, "Q+Q": SUM, "Q-Q": DIFF}
@@ -104,6 +104,10 @@ def random_cube(
     return CubeSpec(ring=ring, a0=a0, generators=gens, digits=digits, mode=mode)
 
 
+# Draws random_proper_cube makes before it gives up.
+_PROPER_DRAWS = 50
+
+
 def random_proper_cube(
     ring: AmbientRing,
     d: int,
@@ -111,16 +115,15 @@ def random_proper_cube(
     mode: str,
     distribution: str | None = None,
     seed: int = 0,
-    max_tries: int = 50,
     *,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> CubeSpec:
     """Redraw deterministically (seed, seed + step, ...) until proper."""
-    for t in range(max_tries):
+    for t in range(_PROPER_DRAWS):
         spec = random_cube(ring, d, digits, mode, distribution, seed + t * 1000003)
         if is_proper(spec, cap=cap):
             return spec
-    raise ValueError(f"no proper cube found after {max_tries} draws")
+    raise ValueError(f"no proper cube found after {_PROPER_DRAWS} draws")
 
 
 @dataclass
@@ -147,12 +150,9 @@ class ExperimentRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "ExperimentRecord":
-        names = [f.name for f in fields(cls)]
-        data = _require_keys(json.loads(line), names, "log record")
-        values = {name: data[name] for name in names}
-        values["seed"] = int(data["seed"])
-        values["measured"] = {k: int(v) for k, v in data["measured"].items()}
-        return cls(**values)
+        data = _check(json.loads(line), _RECORD_SCHEMA, "log record")
+        data["measured"] = {k: int(v) for k, v in data["measured"].items()}
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
     def comparable(self) -> dict:
         """Everything except wall-clock fields, for determinism checks."""
@@ -160,6 +160,11 @@ class ExperimentRecord:
         data.pop("wall_ms")
         data.pop("timestamp")
         return data
+
+
+# A log line: the record's fields, exact counts as decimal strings, and the key to_json_line adds.
+_RECORD_SCHEMA = {"name": str, "spec": {}, "seed": int, "measured": {str: str}, "bounds": {str: float},
+                  "exponents": {str: float}, "flag": str, "wall_ms": float, "timestamp": str, "key?": str}
 
 
 def record_key(name: str, spec: dict, seed: int) -> str:
@@ -370,10 +375,10 @@ _KIND_MODES = {
 }
 
 
-def _campaign_rings(config: dict) -> list[AmbientRing]:
-    rings = [AmbientRing.integers()] if config.get("includeIntegers", True) else []
-    primes = _require_ints(config.get("pList", []), "campaign config: pList")
-    return rings + [AmbientRing.prime_field(p) for p in primes]
+# A campaign config.  genDistribution is left to parse_distribution, whose errors name the distribution.
+_CONFIG_SCHEMA = {"experiments?": [str], "dRange?": (int, int), "hRange?": (int, int), "seeds?": [int],
+                  "pList?": [int], "caps?": {str: int}, "conjecture?": {"m?": int, "nMax?": int},
+                  "properOnly?": bool, "includeIntegers?": bool}
 
 
 def expand_campaign(config: dict) -> list[dict]:
@@ -382,22 +387,20 @@ def expand_campaign(config: dict) -> list[dict]:
     Each task holds its cube, drawn here once, inside the spec of the
     record it will produce, so its key is known before it runs.
     """
-    what = "campaign config"
-    _require_keys(config, (), what, lists=("experiments",))
-    d_lo, d_hi = _require_ints(config.get("dRange", [2, 6]), f"{what}: dRange", 2)
-    h_lo, h_hi = _require_ints(config.get("hRange", [1, 1]), f"{what}: hRange", 2)
-    seeds = _require_ints(config.get("seeds", [0]), f"{what}: seeds")
-    caps = _require_keys(config.get("caps", {}), (), f"{what}: caps")
-    _require_ints(list(caps.values()), f"{what}: caps values")
-    params = _require_keys(config.get("conjecture", {}), (), f"{what}: conjecture")
-    m, n_max = _require_ints([params.get("m", 2), params.get("nMax", 12)], f"{what}: conjecture m, nMax")
-    for key in ("properOnly", "includeIntegers"):
-        if type(config.get(key, True)) is not bool:
-            raise ValueError(f"{what}: {key} is not true or false")
+    _check(config, _CONFIG_SCHEMA, "campaign config")
+    if "genDistribution" in config:  # only a missing key means the default; a null is an error
+        parse_distribution(config["genDistribution"])
+    d_lo, d_hi = config.get("dRange", [2, 6])
+    h_lo, h_hi = config.get("hRange", [1, 1])
+    seeds = config.get("seeds", [0])
+    caps = config.get("caps", {})
+    params = config.get("conjecture", {})
+    rings = [AmbientRing.integers()] if config.get("includeIntegers", True) else []
+    rings += [AmbientRing.prime_field(p) for p in config.get("pList", [])]
     draw = random_proper_cube if config.get("properOnly", False) else random_cube
     tasks: list[dict] = []
     for kind in config.get("experiments", []):
-        if not isinstance(kind, str) or kind not in _KIND_MODES:
+        if kind not in _KIND_MODES:
             raise ValueError(f"unknown experiment {kind!r}")
         mode = _KIND_MODES[kind]
         heights = [h for h in range(h_lo, h_hi + 1) if mode == ADDITIVE or h == 1]
@@ -406,8 +409,8 @@ def expand_campaign(config: dict) -> list[dict]:
             extra = {"targets": list(_DEFAULT_TARGETS[mode])}
         elif kind == "conjecture_probe":
             heights = [1]
-            extra = {"m": m, "n_max": n_max}
-        for ring in _campaign_rings(config):
+            extra = {"m": params.get("m", 2), "n_max": params.get("nMax", 12)}
+        for ring in rings:
             for d in range(d_lo, d_hi + 1):
                 for h in heights:
                     for seed in seeds:
@@ -421,8 +424,8 @@ def run_task(task: dict) -> ExperimentRecord:
     """The record of one task of expand_campaign, on the cube it holds."""
     spec = task["spec"]
     cube = CubeSpec.from_json_dict(spec["cube"])
-    enum_cap = int(task["caps"].get("enum", DEFAULT_ENUM_CAP))
-    pair_cap = int(task["caps"].get("pair", DEFAULT_PAIR_CAP))
+    enum_cap = task["caps"].get("enum", DEFAULT_ENUM_CAP)
+    pair_cap = task["caps"].get("pair", DEFAULT_PAIR_CAP)
     kind, seed = task["kind"], task["seed"]
     if kind.startswith("growth_"):
         return growth_trial(cube, tuple(spec["targets"]), seed, enum_cap=enum_cap, pair_cap=pair_cap)

@@ -11,7 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .numeric import _require_ints, _require_keys, is_prime
+from .numeric import CapExceededError, _check, is_prime
+
+
+# Cap on the lines LineSet.all_lines builds: p = 1021 is the largest prime under it.
+ALL_LINES_CAP = 1 << 20
 
 
 def _require_prime(p: int) -> None:
@@ -57,6 +61,8 @@ class LineSet:
     def all_lines(cls, p: int) -> "LineSet":
         """All p^2 + p distinct lines of the affine plane."""
         _require_prime(p)
+        if p * p + p > ALL_LINES_CAP:
+            raise CapExceededError(f"{p * p + p} lines of the plane over F_{p} exceed cap {ALL_LINES_CAP}")
         lines = [Line(False, a, b) for a in range(p) for b in range(p)]
         lines.extend(Line(True, c) for c in range(p))
         return cls(p, tuple(lines))
@@ -219,28 +225,17 @@ def instance_to_json(p: int, points, lines: LineSet | None = None, planes: Plane
 
 
 def instance_from_json(text: str) -> dict:
-    data = _require_keys(json.loads(text), ("p", "points"), "instance", lists=("points", "lines", "planes"))
-    (p,) = _require_ints([data["p"]], "instance: p")
-    _require_prime(p)
+    data = _check(json.loads(text), {}, "instance")
     dim = 3 if "planes" in data else 2
-    points = [tuple(_require_ints(pt, f"instance: points entry {i}", dim))
-              for i, pt in enumerate(data["points"])]
+    line = {"vertical": bool, "a": int, "b?": int}
+    _check(data, {"p": int, "points": [(int,) * dim], "lines?": [line], "planes?": [(int,) * 4]}, "instance")
+    p = data["p"]
     out: dict = {"p": p}
     if "planes" in data:
-        out["points"] = normalize_points_3d(p, points)
-        rows = [tuple(_require_ints(row, f"instance: planes entry {i}", 4))
-                for i, row in enumerate(data["planes"])]
-        out["planes"] = PlaneSet.from_coefficients(p, rows)
+        out["points"] = normalize_points_3d(p, data["points"])
+        out["planes"] = PlaneSet.from_coefficients(p, data["planes"])
     else:
-        out["points"] = normalize_points_2d(p, points)
+        out["points"] = normalize_points_2d(p, data["points"])
     if "lines" in data:
-        lines = []
-        for i, ln in enumerate(data["lines"]):
-            what = f"instance: lines entry {i}"
-            _require_keys(ln, ("vertical", "a"), what)
-            if type(ln["vertical"]) is not bool:
-                raise ValueError(f"{what}: vertical is not true or false")
-            a, b = _require_ints([ln["a"], ln.get("b", 0)], f"{what}: a, b")
-            lines.append(Line(ln["vertical"], a, b))
-        out["lines"] = LineSet.from_lines(p, lines)
+        out["lines"] = LineSet.from_lines(p, [Line(ln["vertical"], ln["a"], ln.get("b", 0)) for ln in data["lines"]])
     return out

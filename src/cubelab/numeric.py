@@ -41,27 +41,42 @@ class CapExceededError(RuntimeError):
     """An enumeration, pairing, grid, or magnitude cap was exceeded."""
 
 
-def _require_keys(data, keys, what: str, lists=()):
-    """data, once it is known to be a JSON object holding every one of keys,
-    whose values under lists, where present, are JSON arrays."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} is not a JSON object")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise ValueError(f"{what} lacks {', '.join(missing)}")
-    for key in lists:
-        if key in data and not isinstance(data[key], list):
-            raise ValueError(f"{what}: {key} is not a JSON array")
-    return data
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string", float: "a number"}
 
 
-def _require_ints(values, what: str, size: int | None = None):
-    """values, once it is a JSON array of integers, of size entries if given."""
-    if not (isinstance(values, list) and all(type(v) is int for v in values)
-            and size in (None, len(values))):
-        count = "" if size is None else f"{size} "
-        raise ValueError(f"{what}: expected an array of {count}integers, got {values!r}")
-    return values
+def _check(value, schema, what: str):
+    """value, once it matches schema, a JSON type tree: int, bool, str or
+    float (any number, never a bool); [s], an array of s; (s1, ..., sn), an
+    array of exactly those entries; {key: s}, an object whose keys ending in
+    "?" are optional and whose other keys are ignored; or {str: s}, an object
+    of s values.  A mismatch raises ValueError naming its path from what."""
+    if type(schema) is type:
+        if type(value) is schema or schema is float and type(value) is int:
+            return value
+        expected = _TYPE_NAMES[schema]
+    elif type(schema) is dict:
+        if type(value) is dict:
+            if str in schema:
+                for key, item in value.items():
+                    _check(item, schema[str], f"{what}: {key}")
+                return value
+            missing = [key for key in schema if not key.endswith("?") and key not in value]
+            if missing:
+                raise ValueError(f"{what} lacks {', '.join(missing)}")
+            for key, sub in schema.items():
+                name = key.rstrip("?")
+                if name in value:
+                    _check(value[name], sub, f"{what}: {name}")
+            return value
+        expected = "a JSON object"
+    else:
+        fixed = type(schema) is tuple
+        if type(value) is list and (not fixed or len(value) == len(schema)):
+            for i, (item, sub) in enumerate(zip(value, schema if fixed else schema * len(value))):
+                _check(item, sub, f"{what} entry {i}")
+            return value
+        expected = f"an array of {len(schema)} entries" if fixed else "an array"
+    raise ValueError(f"{what}: expected {expected}, got {value!r:.60}")
 
 
 def mode_ops(mode) -> tuple[str, str]:
@@ -104,6 +119,10 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# The JSON shape of a ring: {"kind": "integers"} or {"kind": "prime_field", "p": 7}.
+_RING_SCHEMA = {"kind": str, "p?": int}
 
 
 @dataclass(frozen=True)
@@ -202,9 +221,6 @@ class AmbientRing:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AmbientRing":
-        kind = _require_keys(data, ("kind",), "ring")["kind"]
-        if kind == PRIME_FIELD:
-            return cls.prime_field(int(_require_keys(data, ("p",), "prime field")["p"]))
-        if kind == INTEGERS:
-            return cls.integers()
-        raise ValueError(f"unknown ring kind {kind!r}")
+        kind = _check(data, _RING_SCHEMA, "ring")["kind"]
+        # __post_init__ rejects an unknown kind and a missing or composite p.
+        return cls.integers() if kind == INTEGERS else cls(kind, data.get("p"))

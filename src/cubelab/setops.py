@@ -86,10 +86,11 @@ class MultiplicityMap:
         return buf.getvalue()
 
 
-def _require_same_ring(A: FiniteSet, B: FiniteSet) -> AmbientRing:
-    if A.ring != B.ring:
+def _require_same_ring(*sets: FiniteSet) -> AmbientRing:
+    ring = sets[0].ring
+    if any(s.ring != ring for s in sets[1:]):
         raise ValueError("operands live in different rings")
-    return A.ring
+    return ring
 
 
 def _check_pair_cap(A: FiniteSet, B: FiniteSet, cap: int) -> None:
@@ -501,10 +502,7 @@ def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_C
     sets = list(sets)
     if len(sets) < 2:
         raise ValueError("correlation needs at least two sets")
-    ring = sets[0].ring
-    for s in sets[1:]:
-        if s.ring != ring:
-            raise ValueError("correlation sets live in different rings")
+    ring = _require_same_ring(*sets)
     k = len(sets) - 1
     base = sets[0]
     members = [s._members for s in sets]

@@ -26,7 +26,7 @@ from .cube import (
 )
 from .energy import energy_pair
 from .numeric import PRIME_FIELD, CapExceededError, mode_ops
-from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, _pair_keys, _scalar_op, pairwise_set
+from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, _pair_keys, _require_same_ring, _scalar_op, pairwise_set
 
 OLMEZOV_TERM_CAP = 10**9
 
@@ -167,9 +167,7 @@ def olmezov_sides(
     if m < 1:
         raise ValueError("need m >= 1")
     op, inverse = mode_ops(mode)
-    ring = A.ring
-    if B.ring != ring or D.ring != ring:
-        raise ValueError("operands live in different rings")
+    ring = _require_same_ring(A, B, D)
     if mode == MULTIPLICATIVE and 0 in A:
         raise ValueError("multiplicative mode needs 0 outside A")
     if len(A) ** m * max(len(B), 1) ** s * (m + s) > term_cap:
@@ -243,10 +241,6 @@ def gmr_check(sets, *, cap: int = DEFAULT_PAIR_CAP, seed: int | None = None) -> 
     k = len(sets)
     if k < 2:
         raise ValueError("need at least two sets")
-    ring = sets[0].ring
-    for t in sets[1:]:
-        if t.ring != ring:
-            raise ValueError("operands live in different rings")
     prefix = [sets[0]]
     for t in sets[1:]:
         prefix.append(pairwise_set(SUM, prefix[-1], t, cap=cap))

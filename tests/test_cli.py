@@ -188,13 +188,36 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     ]:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:") and says in err, (argv, err)
+    # Values of the wrong type are refused, not coerced: int() would turn
+    # 0.7 into 0, 1.9 into 1 and "3" into 3, and fail on [1].
+    spec = dict(files["gens5.json"], generators=[1, 4])
+    for key, value, says in [("a0", [1], "a0"), ("generators", [[1], 4], "generators entry 0"),
+                             ("ring", {"kind": "prime_field", "p": [7]}, "ring: p"), ("a0", 0.7, "a0"),
+                             ("generators", [1.9, 4], "generators entry 0"), ("a0", "3", "a0"),
+                             ("generators", ["1", True], "generators entry 0")]:
+        (tmp_path / "bad_spec.json").write_text(json.dumps(dict(spec, **{key: value})))
+        code, _, err = run_cli(capsys, "cube", "gen", "--spec", "bad_spec.json")
+        assert code == 2 and err.startswith("error:") and says in err, (key, value, err)
+    record["flag"] = "report"
+    for key, value, says in [("measured", 5, "measured"), ("seed", [1], "seed"),
+                             ("measured", {"|Q|": [4]}, "measured: |Q|"), ("exponents", [], "exponents"),
+                             ("measured", {"|Q|": 4.5}, "measured: |Q|"), ("seed", 0.9, "seed"),
+                             ("name", 5, "name"), ("spec", 5, "spec")]:
+        (tmp_path / "bad.jsonl").write_text(json.dumps(dict(record, **{key: value})) + "\n")
+        code, _, err = run_cli(capsys, "campaign", "export", "--log", "bad.jsonl", "--csv", "out.csv")
+        assert code == 2 and err.startswith("error:") and says in err, (key, value, err)
 
 
-def test_cap_exceeded_exit_3(capsys):
+def test_cap_exceeded_exit_3(tmp_path, capsys):
     gens = ",".join(str(3**j) for j in range(30))
     code, _, err = run_cli(capsys, "cube", "gen", "--gens", gens)
     assert code == 3
     assert "cap" in err
+    # All p^2 + p lines for p = 100003 would be about 10^10 objects.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"p": 100003, "points": [[1, 2]]}))
+    code, _, err = run_cli(capsys, "incidence", "2d", str(inst), "--all-lines")
+    assert code == 3 and "cap" in err
 
 
 def test_check_failure_exit_1(monkeypatch, capsys):

@@ -193,8 +193,9 @@ def test_expand_campaign_rejects_values_of_the_wrong_type():
                        ("properOnly", 1)]:
         with pytest.raises(ValueError, match=key):
             expand_campaign(dict(CONFIG, **{key: value}))
-    with pytest.raises(ValueError, match="distribution"):
-        expand_campaign(dict(CONFIG, genDistribution=5))
+    for value in [5, None]:
+        with pytest.raises(ValueError, match="distribution"):
+            expand_campaign(dict(CONFIG, genDistribution=value))
     with pytest.raises(ValueError, match="experiment"):
         expand_campaign(dict(CONFIG, experiments=[["growth_additive"]]))
 

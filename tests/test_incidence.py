@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cubelab.incidence import (
+    ALL_LINES_CAP,
     Line,
     LineSet,
     PlaneSet,
@@ -24,6 +25,7 @@ from cubelab.incidence import (
     plane_rhs,
     szt_rhs,
 )
+from cubelab.numeric import CapExceededError
 
 
 def test_full_grid_all_lines():
@@ -89,6 +91,14 @@ def test_prime_validation():
         LineSet.all_lines(9)
     with pytest.raises(ValueError):
         normalize_points_2d(2, [(0, 0)])
+
+
+def test_all_lines_refuses_a_plane_past_the_cap():
+    # 101 is the largest p any caller passes; 1021 is the largest prime under the cap.
+    assert 101 * 101 + 101 <= 1021 * 1021 + 1021 <= ALL_LINES_CAP < 1031 * 1031 + 1031
+    for p in (1031, 100003):
+        with pytest.raises(CapExceededError, match="lines"):
+            LineSet.all_lines(p)
 
 
 def _brute_max_collinear(points, p):

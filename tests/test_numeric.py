@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubelab.cube import CubeSpec, FiniteSet
+from cubelab.cube import ADDITIVE, CubeSpec, FiniteSet
 from cubelab.energy import energy_k, energy_pair, energy_tk
 from cubelab.numeric import (
     DEFAULT_MAGNITUDE_CAP,
+    SUM,
     AmbientRing,
     CapExceededError,
+    _check,
     is_prime,
 )
-from cubelab.setops import correlation
-from cubelab.structure import olmezov_sides
+from cubelab.setops import correlation, pairwise_size
+from cubelab.structure import gmr_check, olmezov_sides
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                     53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -147,3 +149,52 @@ _S = FiniteSet.from_iterable(AmbientRing.integers(), [1, 2, 3])
 def test_unknown_mode_is_a_value_error(call, mode):
     with pytest.raises(ValueError, match="unknown mode"):
         call(mode)
+
+
+_F = FiniteSet.from_iterable(AmbientRing.prime_field(7), [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pairwise_size(SUM, _S, _F),
+        lambda: correlation(ADDITIVE, [_S, _F]),
+        lambda: olmezov_sides(_S, _S, _F, 2, 1, 1),
+        lambda: energy_pair(ADDITIVE, _S, _F),
+        lambda: gmr_check([_S, _S, _F]),
+    ],
+    ids=["pairwise_size", "correlation", "olmezov_sides", "energy_pair", "gmr_check"],
+)
+def test_mixed_rings_are_a_value_error(call):
+    with pytest.raises(ValueError, match="operands live in different rings"):
+        call()
+
+
+_SCHEMA = {"a": [(int, bool)], "b?": {str: float}, "c?": str}
+
+
+def test_check_accepts_the_schema_and_ignores_unknown_keys():
+    value = {"a": [[1, True], [-2, False]], "b": {"x": 1, "y": 0.5}, "extra": None}
+    assert _check(value, _SCHEMA, "doc") is value
+    assert _check({"a": []}, _SCHEMA, "doc") == {"a": []}
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([], "doc: expected a JSON object, got []"),
+        ({"b": {}}, "doc lacks a"),
+        ({"a": {}}, "doc: a: expected an array, got {}"),
+        ({"a": [[1]]}, "doc: a entry 0: expected an array of 2 entries, got [1]"),
+        ({"a": [[1, True], [1, 1]]}, "doc: a entry 1 entry 1: expected true or false, got 1"),
+        ({"a": [[True, True]]}, "doc: a entry 0 entry 0: expected an integer, got True"),
+        ({"a": [[1.0, True]]}, "doc: a entry 0 entry 0: expected an integer, got 1.0"),
+        ({"a": [], "b": {"x": False}}, "doc: b: x: expected a number, got False"),
+        ({"a": [], "b": {"x": "1"}}, "doc: b: x: expected a number, got '1'"),
+        ({"a": [], "c": None}, "doc: c: expected a string, got None"),
+    ],
+)
+def test_check_names_the_path_of_a_mismatch(value, message):
+    with pytest.raises(ValueError) as info:
+        _check(value, _SCHEMA, "doc")
+    assert str(info.value) == message
