@@ -38,7 +38,7 @@ from .incidence import (
     plane_rhs,
     szt_rhs,
 )
-from .numeric import AmbientRing, CapExceededError
+from .numeric import AmbientRing, CapExceededError, _parse_json
 from .setops import DIFF, PROD, RATIO, SUM, iterate_prod, iterate_sum, pairwise
 from .structure import (
     energy_lower_check,
@@ -89,12 +89,12 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def _cube_from_args(args) -> CubeSpec:
     if args.spec:
-        return CubeSpec.from_json_dict(json.loads(_read_text(args.spec)))
+        return CubeSpec.from_json_dict(_parse_json(_read_text(args.spec), "cube spec"))
     if not args.gens:
         raise ValueError("need --gens or --spec")
     if args.digits and args.h is not None:
         raise ValueError("--h and --digits are mutually exclusive")
-    digits = _ints(args.digits) if args.digits else tuple(range((args.h or 1) + 1))
+    digits = _ints(args.digits) if args.digits else tuple(range((1 if args.h is None else args.h) + 1))
     a0 = args.a0
     if a0 is None:
         a0 = 0 if args.mode == ADDITIVE else 1
@@ -369,7 +369,7 @@ def _cmd_incidence_3d(args) -> int:
 
 
 def _cmd_campaign_run(args) -> int:
-    config = json.loads(_read_text(args.config))
+    config = _parse_json(_read_text(args.config), "campaign config")
     new = run_campaign(config, args.log, jobs=args.jobs)
     print(json.dumps({"appended": len(new), "log": str(args.log)}))
     return 0

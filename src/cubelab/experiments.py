@@ -34,7 +34,7 @@ from .cube import (
 )
 from .energy import energy_pair
 from .floors import clears_floor
-from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError, _check
+from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError, _check, _parse_json
 from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, pairwise_set, pairwise_size
 
 TARGET_OPS = {"QQ": PROD, "Q/Q": RATIO, "Q+Q": SUM, "Q-Q": DIFF}
@@ -81,6 +81,8 @@ def random_cube(
     seed: int = 0,
 ) -> CubeSpec:
     """Deterministic cube draw: a0 first (additive mode), then generators."""
+    if d < 0:
+        raise ValueError(f"cube dimension d={d} is negative")
     if isinstance(digits, int):
         digits = tuple(range(digits + 1))
     if distribution is None:
@@ -150,7 +152,7 @@ class ExperimentRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "ExperimentRecord":
-        data = _check(json.loads(line), _RECORD_SCHEMA, "log record")
+        data = _check(_parse_json(line, "log record"), _RECORD_SCHEMA, "log record")
         data["measured"] = {k: int(v) for k, v in data["measured"].items()}
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
@@ -392,6 +394,9 @@ def expand_campaign(config: dict) -> list[dict]:
         parse_distribution(config["genDistribution"])
     d_lo, d_hi = config.get("dRange", [2, 6])
     h_lo, h_hi = config.get("hRange", [1, 1])
+    for key, lo, hi in (("dRange", d_lo, d_hi), ("hRange", h_lo, h_hi)):
+        if lo > hi:
+            raise ValueError(f"campaign config: {key} [{lo}, {hi}] is empty, its low end above its high end")
     seeds = config.get("seeds", [0])
     caps = config.get("caps", {})
     params = config.get("conjecture", {})
@@ -450,8 +455,8 @@ def _read_log(path: Path) -> tuple[list[ExperimentRecord], bytes]:
     lines = data.split(b"\n")
     if lines[-1].strip():
         try:
-            json.loads(lines[-1])
-        except json.JSONDecodeError:
+            _parse_json(lines[-1], "log record")
+        except ValueError:
             data = data[: len(data) - len(lines.pop())]
     return [ExperimentRecord.from_json_line(line) for line in lines if line.strip()], data
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .numeric import CapExceededError, _check, is_prime
+from .numeric import CapExceededError, _check, _parse_json, is_prime
 
 
 # Cap on the lines LineSet.all_lines builds: p = 1021 is the largest prime under it.
@@ -225,7 +225,7 @@ def instance_to_json(p: int, points, lines: LineSet | None = None, planes: Plane
 
 
 def instance_from_json(text: str) -> dict:
-    data = _check(json.loads(text), {}, "instance")
+    data = _check(_parse_json(text, "instance"), {}, "instance")
     dim = 3 if "planes" in data else 2
     line = {"vertical": bool, "a": int, "b?": int}
     _check(data, {"p": int, "points": [(int,) * dim], "lines?": [line], "planes?": [(int,) * 4]}, "instance")

@@ -10,6 +10,7 @@ untouched and are never capped.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
@@ -77,6 +78,15 @@ def _check(value, schema, what: str):
             return value
         expected = f"an array of {len(schema)} entries" if fixed else "an array"
     raise ValueError(f"{what}: expected {expected}, got {value!r:.60}")
+
+
+def _parse_json(text, what: str):
+    """json.loads(text), where nesting past the recursion limit is a
+    ValueError like any other malformed input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
 
 
 def mode_ops(mode) -> tuple[str, str]:

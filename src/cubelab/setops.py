@@ -7,9 +7,9 @@ over F_p they are residue sets (zero denominators are always excluded).
 
 All pair arithmetic of the package runs through one kernel, _pair_keys,
 which streams a op b over the pairs: a Counter of the stream gives
-multiplicities, a set gives values.  Size-only variants (pairwise_set,
-pairwise_size) skip the counting and use commutativity / reflection
-shortcuts, which matters when the inputs have thousands of elements.
+multiplicities, a set gives values.  Only pairwise_size, which needs no
+values, halves the pairs of a same-operand count, by commutativity and
+reflection.
 
 Sizes (pairwise_size) are counted by _count_distinct, in one of two lanes:
 
@@ -141,9 +141,9 @@ def _pair_keys(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool = False
     on Fraction(a, b).  Ratios skip zero denominators; over F_p they are
     products with the inverses of B.
 
-    Pairs run over A x B, or with same=True (A is B over Z) over one pair
-    of each mirrored couple: i <= j for sum and prod, i < j for diff and
-    ratio, whose other halves _value_set restores.
+    Pairs run over A x B, or with same=True (A is B over Z) over the half
+    pairwise_size counts: i <= j for sum and prod, i < j for diff, and for
+    ratios i < j over the absolute values of A's nonzero elements.
     """
     p = _check_pairs(op, A, B, cap).modulus
     ea, eb = A.elements, B.elements
@@ -161,10 +161,8 @@ def _pair_keys(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool = False
     # Ratios run in rows (a, bs), a list of keys per row being faster than a
     # generator step per pair; every b > 0, as (x, y) with y < 0 becomes (-x, -y).
     if same:
-        neg = [-x for x in ea if x < 0]
-        pos = [x for x in ea if x > 0]
-        rows = chain(((a, neg[i + 1:]) for i, a in enumerate(neg)), ((-a, pos) for a in neg),
-                     ((a, pos[i + 1:]) for i, a in enumerate(pos)))
+        pos = [abs(x) for x in ea if x]
+        rows = ((a, pos[i + 1:]) for i, a in enumerate(pos))
     else:
         pos = [b for b in eb if b > 0]
         neg = [-b for b in eb if b < 0]
@@ -204,10 +202,8 @@ def _count_distinct(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool) -
         return python()
     # Rows xs, columns ys, and with same the pairs j >= i + tri only, as in
     # _pair_keys.  A ratio's value keeps its sign however it is written, so
-    # the lane needs no sign rows; same ratios are the one-sided ones.
+    # the lane needs no sign rows.
     if op == RATIO and same:
-        if ea and ea[0] < 0 < ea[-1]:
-            return python()
         xs = ys = [abs(x) for x in ea if x]
     else:
         xs, ys = ea, [y for y in eb if y] if op == RATIO else eb
@@ -296,44 +292,6 @@ def _lane_keys(np, op: str, xs, ys, p):
     return keys_of
 
 
-def _value_set(op: str, A: FiniteSet, B: FiniteSet, cap: int, size_only: bool = False):
-    """The distinct keys of A op B, or with size_only their number.
-
-    The same operand on both sides over Z halves the work: sum and prod
-    commute, and the pairs j < i of diff and ratio give the negations and
-    reciprocals of the pairs i < j, the diagonal 0 or 1 (and 0 / x gives
-    0).  The visited differences are all negative, and the visited ratios
-    all lie on one side of 1 when the nonzero elements share a sign; then
-    the size needs no mirror images, and _count_distinct counts the keys.
-    """
-    same = A is B and A.ring.kind == INTEGERS
-    ea = A.elements
-    mirrored = same and op in (DIFF, RATIO) and bool(ea)
-    fixed, one_sided = [], True
-    if mirrored and op == DIFF:
-        fixed = [0]
-    elif mirrored:
-        has_zero = 0 in A
-        fixed = ([1, 0] if has_zero else [1]) if len(ea) > has_zero else []
-        one_sided = not ea[0] < 0 < ea[-1]
-    if size_only and one_sided:
-        return (1 + mirrored) * _count_distinct(op, A, B, cap, same) + len(fixed)
-    keys = set(_pair_keys(op, A, B, cap, same))
-    if not mirrored:
-        return keys
-    if op == DIFF:
-        mirror = [-x for x in keys]
-    elif _reduced_keys(RATIO, A, A):
-        mirror = [(d, n) if n > 0 else (-d, -n) for n, d in keys]
-        fixed = [(v, 1) for v in fixed]
-    else:
-        mirror = [1 / x for x in keys]
-        fixed = [Fraction(v) for v in fixed]
-    keys.update(mirror)
-    keys.update(fixed)
-    return len(keys) if size_only else keys
-
-
 def pairwise(op: str, A: FiniteSet, B: FiniteSet, *, cap: int = DEFAULT_PAIR_CAP):
     """(result set, multiplicity map) for A op B, op in sum/diff/prod/ratio.
 
@@ -347,15 +305,31 @@ def pairwise(op: str, A: FiniteSet, B: FiniteSet, *, cap: int = DEFAULT_PAIR_CAP
 
 def pairwise_set(op: str, A: FiniteSet, B: FiniteSet, *, cap: int = DEFAULT_PAIR_CAP) -> FiniteSet:
     """Result set only; multiplicities are not tracked."""
-    values = _value_set(op, A, B, cap)
+    values = set(_pair_keys(op, A, B, cap))
     if _reduced_keys(op, A, B):
         values = starmap(Fraction, values)
     return FiniteSet(A.ring, tuple(sorted(values)))
 
 
 def pairwise_size(op: str, A: FiniteSet, B: FiniteSet, *, cap: int = DEFAULT_PAIR_CAP) -> int:
-    """|A op B| without building a sorted set; the fast path for growth trials."""
-    return _value_set(op, A, B, cap, size_only=True)
+    """|A op B| without building a sorted set; the fast path for growth trials.
+
+    A is B over Z halves the work: sum and prod commute; the differences
+    i < j are all negative, the pairs j < i their negations and 0 the
+    diagonal.  When the nonzero elements share a sign, the ratios i < j of
+    their absolute values lie on one side of 1 and their reciprocals on the
+    other; 1 is the diagonal, and 0 / x = 0 when 0 is in A.  Ratios of a
+    set with both signs count all of A x A.
+    """
+    ea = A.elements
+    same = A is B and A.ring.kind == INTEGERS and not (op == RATIO and ea and ea[0] < 0 < ea[-1])
+    c = _count_distinct(op, A, B, cap, same)
+    if not same or op in (SUM, PROD):
+        return c
+    if op == DIFF:
+        return 2 * c + bool(ea)
+    has_zero = 0 in A
+    return 2 * c + 1 + has_zero if len(ea) > has_zero else 0
 
 
 def _fold_digit_sumset(digits: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -135,6 +135,9 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "cube", "symmetry", "--gens", "1,4", "--digits", "0,2")
     assert code == 2
+    # --h 0 is the one-digit set {0}, not the default h = 1.
+    code, _, err = run_cli(capsys, "cube", "gen", "--gens", "1,4", "--h", "0")
+    assert code == 2 and "two digits" in err
     # Malformed or missing input files: the error line says what is wrong.
     monkeypatch.chdir(tmp_path)
     files = {
@@ -163,6 +166,9 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         (tmp_path / name).write_text(json.dumps(data))
     (tmp_path / "half.txt").write_text("1/2\n3\n")
     (tmp_path / "zero.txt").write_text("3\n1/0\n")
+    # Nesting past the recursion limit, where json.loads raises RecursionError.
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    (tmp_path / "deep.jsonl").write_text("[" * 100000 + "\n")
     # A log record without its flag.
     record = json.loads(run_cli(capsys, "conjecture", "--gens", "1,4", "-m", "1")[1])
     del record["flag"]
@@ -185,6 +191,10 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         (["campaign", "run", "improper.json", "--log", "out.jsonl"], "proper"),
         (["campaign", "export", "--log", "log.jsonl", "--csv", "out.csv"], "flag"),
         (["campaign", "run", "improper.json", "--log", "log.jsonl"], "flag"),
+        (["cube", "gen", "--spec", "deep.json"], "nested too deeply"),
+        (["campaign", "run", "deep.json", "--log", "out.jsonl"], "nested too deeply"),
+        (["incidence", "2d", "deep.json"], "nested too deeply"),
+        (["campaign", "export", "--log", "deep.jsonl", "--csv", "out.csv"], "nested too deeply"),
     ]:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:") and says in err, (argv, err)

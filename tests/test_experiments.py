@@ -200,6 +200,15 @@ def test_expand_campaign_rejects_values_of_the_wrong_type():
         expand_campaign(dict(CONFIG, experiments=[["growth_additive"]]))
 
 
+@pytest.mark.parametrize("key, value, says", [("dRange", [5, 2], "dRange"), ("hRange", [2, 1], "hRange"),
+                                             ("dRange", [-3, -1], "negative")])
+def test_expand_campaign_rejects_empty_ranges_and_negative_d(key, value, says):
+    # [5, 2] would expand to no tasks; d < 0 would draw the same empty cube,
+    # and so the same record key, for every d.
+    with pytest.raises(ValueError, match=says):
+        expand_campaign(dict(CONFIG, **{key: value}))
+
+
 def test_campaign_records_do_not_depend_on_numpy(tmp_path, monkeypatch):
     # d=8 cubes have 2^16 pairs, enough for the numpy lane of pairwise_size
     # over Z and F_10007; hiding numpy sends every size to the Python route.

@@ -147,9 +147,16 @@ def _assert_matches_oracle(A, B):
             assert pairwise_size(op, X, Y) == len(expect), (op, X.elements, Y.elements)
 
 
-def test_fast_paths_agree_with_counting():
+# pairwise_size's lane threshold: the default, where these small sets take
+# the Python route, and 0, where every int set takes the numpy lane.
+_THRESHOLDS = pytest.mark.parametrize("lane_min_pairs", [_LANE_MIN_PAIRS, 0], ids=["default_threshold", "lane_from_0"])
+
+
+@_THRESHOLDS
+def test_fast_paths_agree_with_counting(monkeypatch, lane_min_pairs):
     # Ints over Z and F_13, then Fraction-only and mixed int/Fraction sets
     # over Z; the draws hold negatives and, now and then, 0.
+    monkeypatch.setattr(setops, "_LANE_MIN_PAIRS", lane_min_pairs)
     rng = random.Random(42)
     kinds = [(Z, 0.0), (F13, 0.0), (Z, 1.0), (Z, 0.5)]
     for trial in range(120):
@@ -161,11 +168,15 @@ def test_fast_paths_agree_with_counting():
     _assert_matches_oracle(zset(Fraction(-1, 2), Fraction(0), Fraction(3)), zset(0))
 
 
-def test_size_shortcuts_on_one_sided_sets():
-    # Same-operand sets whose nonzero elements share a sign take the
-    # reciprocal-pairing route for RATIO; DIFF always counts one sign.
+@_THRESHOLDS
+def test_size_shortcuts_on_one_sided_sets(monkeypatch, lane_min_pairs):
+    # Same-operand sets whose nonzero elements share a sign count half the
+    # pairs for RATIO, and all of A x A when they hold both signs; DIFF
+    # always counts half.
+    monkeypatch.setattr(setops, "_LANE_MIN_PAIRS", lane_min_pairs)
     rng = random.Random(7)
     probes = [
+        zset(),
         zset(3),
         zset(0),
         zset(1, 2),
@@ -489,6 +500,17 @@ def test_pairwise_size_takes_the_lane_from_the_threshold(python_route):
         assert size == len({a * b for a in Q.elements for b in Q.elements})
         lane = HAVE_NUMPY and len(Q) ** 2 >= _LANE_MIN_PAIRS
         assert len(python_route) == (not lane), d
+
+
+def test_mixed_sign_ratio_set_takes_the_lane(python_route):
+    # Both signs: pairwise_size counts all of Q x Q, on the lane when numpy
+    # is installed.
+    rng = random.Random(11)
+    Q = zset(*(rng.randint(-(2**40), 2**40) for _ in range(200)))
+    assert Q.elements[0] < 0 < Q.elements[-1] and len(Q) ** 2 >= _LANE_MIN_PAIRS
+    del python_route[:]
+    assert pairwise_size(RATIO, Q, Q) == len(_brute_force_counts(RATIO, Q, Q))
+    assert len(python_route) == (not HAVE_NUMPY)
 
 
 def test_sizes_without_numpy(monkeypatch):
