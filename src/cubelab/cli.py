@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a verified inequality or identity failed,
-2 bad usage or invalid arguments, 3 a magnitude or enumeration cap fired.
+2 bad usage or invalid arguments, 3 a magnitude or enumeration cap fired
+or a campaign worker died.
 """
 
 from __future__ import annotations
@@ -196,6 +197,8 @@ def _cmd_setop_iter(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    if args.B and (args.k is not None or args.tk is not None):
+        raise ValueError("--k and --tk take one set")
     ring = _ring_from_args(args)
     A = _load_set(ring, args.A)
     B = _load_set(ring, args.B) if args.B else None
@@ -440,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     energy.add_argument("A")
     energy.add_argument("B", nargs="?")
     energy.add_argument("--mode", choices=[ADDITIVE, MULTIPLICATIVE], default=ADDITIVE)
-    energy.add_argument("--k", type=int, help="k-energy of A alone")
-    energy.add_argument("--tk", type=int, help="T_k = sum of r_{kA}^2")
+    of_a_alone = energy.add_mutually_exclusive_group()
+    of_a_alone.add_argument("--k", type=int, help="k-energy of A alone")
+    of_a_alone.add_argument("--tk", type=int, help="T_k = sum of r_{kA}^2 of A alone")
     energy.add_argument("--json", action="store_true")
     energy.set_defaults(func=_cmd_energy)
 

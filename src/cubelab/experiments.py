@@ -16,6 +16,7 @@ import math
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -35,7 +36,7 @@ from .cube import (
 from .energy import energy_pair
 from .floors import clears_floor
 from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError, _check, _parse_json
-from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, pairwise_set, pairwise_size
+from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, _product_powers, pairwise_size
 
 TARGET_OPS = {"QQ": PROD, "Q/Q": RATIO, "Q+Q": SUM, "Q-Q": DIFF}
 _DEFAULT_TARGETS = {ADDITIVE: ("QQ", "Q/Q"), MULTIPLICATIVE: ("Q+Q", "Q-Q")}
@@ -174,8 +175,12 @@ def record_key(name: str, spec: dict, seed: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _trial_record(name: str, spec: dict, seed: int, start: float, measured: dict, bounds: dict | None = None,
+                  exponents: dict | None = None, flag: str = "report") -> ExperimentRecord:
+    """The record of a trial that began at perf_counter() == start, timed up to now."""
+    return ExperimentRecord(name=name, spec=spec, seed=seed, measured=measured, bounds=bounds or {},
+                            exponents=exponents or {}, flag=flag, wall_ms=(time.perf_counter() - start) * 1000.0,
+                            timestamp=datetime.now(timezone.utc).isoformat())
 
 
 def growth_trial(
@@ -207,7 +212,7 @@ def growth_trial(
             size = pairwise_size(TARGET_OPS[t], q_set, q_set, cap=pair_cap)
             measured[t] = size
             exponents[t] = math.log(size) / math.log(q)
-        _growth_bounds(spec, q, targets, bounds)
+        _growth_bounds(spec, q, bounds)
         if floors:
             ok = all(
                 clears_floor(measured[t], q, floors[t]) for t in targets if t in floors
@@ -216,20 +221,11 @@ def growth_trial(
             for t, fl in floors.items():
                 if t in targets:
                     bounds[f"{t}_floor"] = fl.numerator / fl.denominator
-    return ExperimentRecord(
-        name=f"growth_{spec.mode}",
-        spec={"cube": spec.to_json_dict(), "targets": list(targets)},
-        seed=seed,
-        measured=measured,
-        bounds=bounds,
-        exponents=exponents,
-        flag=flag,
-        wall_ms=(time.perf_counter() - start) * 1000.0,
-        timestamp=_now(),
-    )
+    spec_json = {"cube": spec.to_json_dict(), "targets": list(targets)}
+    return _trial_record(f"growth_{spec.mode}", spec_json, seed, start, measured, bounds, exponents, flag)
 
 
-def _growth_bounds(spec: CubeSpec, q: int, targets, bounds: dict) -> None:
+def _growth_bounds(spec: CubeSpec, q: int, bounds: dict) -> None:
     ring = spec.ring
     interval = spec.has_interval_digits
     if spec.mode == ADDITIVE:
@@ -298,17 +294,8 @@ def energy_bound_trial(
         elif spec.mode == MULTIPLICATIVE and spec.ring.kind == PRIME_FIELD:
             p = spec.ring.modulus
             bounds["small_side_limit"] = p ** (13 / 23)
-    return ExperimentRecord(
-        name=f"energy_{spec.mode}",
-        spec={"cube": spec.to_json_dict()},
-        seed=seed,
-        measured=measured,
-        bounds=bounds,
-        exponents=exponents,
-        flag=flag,
-        wall_ms=(time.perf_counter() - start) * 1000.0,
-        timestamp=_now(),
-    )
+    return _trial_record(f"energy_{spec.mode}", {"cube": spec.to_json_dict()}, seed, start, measured, bounds,
+                         exponents, flag)
 
 
 def conjecture_probe(
@@ -330,39 +317,18 @@ def conjecture_probe(
     target = size_q**m
     measured: dict = {"|Q|": size_q, "target": target}
     flag = "not_reached"
-    found = None
-    acc = Q
-    n = 1
-    measured["|Q^1|"] = size_q
-    if size_q >= target:
-        found = 1
-    else:
-        while n < n_max:
-            n += 1
-            try:
-                acc = pairwise_set(PROD, acc, Q, cap=pair_cap)
-            except CapExceededError:
-                n -= 1
-                flag = "cap_exceeded"
+    try:
+        # range first, so that zip stops before it asks for Q^(n_max + 1).
+        for n, power in zip(range(1, n_max + 1), _product_powers(Q, pair_cap)):
+            measured[f"|Q^{n}|"] = len(power)
+            if len(power) >= target:
+                measured["n"] = n
+                flag = "pass"
                 break
-            measured[f"|Q^{n}|"] = len(acc)
-            if len(acc) >= target:
-                found = n
-                break
-    if found is not None:
-        measured["n"] = found
-        flag = "pass"
-    return ExperimentRecord(
-        name="conjecture_probe",
-        spec={"set_size": size_q, "m": m, "n_max": n_max},
-        seed=seed,
-        measured=measured,
-        bounds={},
-        exponents={},
-        flag=flag,
-        wall_ms=(time.perf_counter() - start) * 1000.0,
-        timestamp=_now(),
-    )
+    except CapExceededError:
+        flag = "cap_exceeded"
+    spec = {"set_size": size_q, "m": m, "n_max": n_max}
+    return _trial_record("conjecture_probe", spec, seed, start, measured, flag=flag)
 
 
 # --- campaigns ---------------------------------------------------------
@@ -436,12 +402,10 @@ def run_task(task: dict) -> ExperimentRecord:
         return growth_trial(cube, tuple(spec["targets"]), seed, enum_cap=enum_cap, pair_cap=pair_cap)
     if kind.startswith("energy_"):
         return energy_bound_trial(cube, seed, enum_cap=enum_cap, pair_cap=pair_cap)
-    if kind == "conjecture_probe":
-        q_set = enumerate_cube(cube, cap=enum_cap)
-        record = conjecture_probe(q_set, spec["m"], spec["n_max"], seed, pair_cap=pair_cap)
-        record.spec = spec
-        return record
-    raise ValueError(f"unknown task kind {kind!r}")
+    # expand_campaign admits no other kind.
+    record = conjecture_probe(enumerate_cube(cube, cap=enum_cap), spec["m"], spec["n_max"], seed, pair_cap=pair_cap)
+    record.spec = spec
+    return record
 
 
 def _read_log(path: Path) -> tuple[list[ExperimentRecord], bytes]:
@@ -473,9 +437,12 @@ def _records(todo: list[dict], jobs: int):
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         try:
             yield from pool.map(run_task, todo)
-        except BaseException:
+        except BaseException as exc:
             # Drop the tasks not yet started, so that an interrupt returns promptly.
             pool.shutdown(cancel_futures=True)
+            if isinstance(exc, BrokenProcessPool):
+                raise CapExceededError("a campaign worker died, most likely out of memory; "
+                                       "the log keeps every finished record") from exc
             raise
 
 

@@ -68,9 +68,6 @@ class MultiplicityMap:
     def mass(self) -> int:
         return sum(self.counts.values())
 
-    def support(self) -> FiniteSet:
-        return FiniteSet(self.ring, tuple(sorted(self.counts)))
-
     def __getitem__(self, x) -> int:
         return self.counts.get(x, 0)
 
@@ -356,7 +353,7 @@ def _convolve_counts(ring: AmbientRing, counts: dict, values: tuple, op: str, ca
                 for v in values:
                     y = (x + v) % p
                     out[y] = get(y, 0) + c
-    elif op == PROD:
+    else:  # PROD, the only other op of iterate_sum and energy_tk
         if p is None:
             for x, c in counts.items():
                 for v in values:
@@ -367,8 +364,6 @@ def _convolve_counts(ring: AmbientRing, counts: dict, values: tuple, op: str, ca
                 for v in values:
                     y = (x * v) % p
                     out[y] = get(y, 0) + c
-    else:
-        raise ValueError(f"cannot convolve with op {op!r}")
     return out
 
 
@@ -437,17 +432,25 @@ def iterate_prod(Q: FiniteSet, n: int, *, cap: int = DEFAULT_PAIR_CAP) -> Finite
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    acc = Q
-    sizes = [len(Q)]
-    for step in range(2, n + 1):
-        try:
-            acc = pairwise_set(PROD, acc, Q, cap=cap)
-        except CapExceededError as exc:
-            exc.largest_n = step - 1
-            exc.sizes = sizes
-            raise
-        sizes.append(len(acc))
-    return acc
+    sizes = []
+    try:
+        for power in _product_powers(Q, cap):
+            sizes.append(len(power))
+            if len(sizes) == n:
+                return power
+    except CapExceededError as exc:
+        exc.largest_n = len(sizes)
+        exc.sizes = sizes
+        raise
+
+
+def _product_powers(Q: FiniteSet, cap: int):
+    """Q, Q^(2), Q^(3), ... without end: each step is pairwise_set(PROD, last,
+    Q), so a step past the pair or magnitude cap raises CapExceededError."""
+    power = Q
+    while True:
+        yield power
+        power = pairwise_set(PROD, power, Q, cap=cap)
 
 
 @dataclass(frozen=True)

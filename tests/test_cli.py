@@ -127,9 +127,10 @@ def test_campaign_cli(tmp_path, capsys):
 
 
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["cube", "gen", "--gens", "1,4", "--badflag"])
-    assert exc_info.value.code == 2
+    for argv in (["cube", "gen", "--gens", "1,4", "--badflag"], ["energy", "a.txt", "--k", "2", "--tk", "2"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
     # Domain errors (not argparse syntax) also map to 2, no traceback.
     code, _, err = run_cli(capsys, "cube", "gen", "--ring", "fp", "--gens", "1,4")
     assert code == 2 and "error" in err
@@ -195,6 +196,9 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         (["campaign", "run", "deep.json", "--log", "out.jsonl"], "nested too deeply"),
         (["incidence", "2d", "deep.json"], "nested too deeply"),
         (["campaign", "export", "--log", "deep.jsonl", "--csv", "out.csv"], "nested too deeply"),
+        # --k and --tk are energies of A alone.
+        (["energy", "half.txt", "half.txt", "--k", "2"], "one set"),
+        (["energy", "half.txt", "half.txt", "--tk", "2"], "one set"),
     ]:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:") and says in err, (argv, err)
@@ -218,6 +222,29 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         assert code == 2 and err.startswith("error:") and says in err, (key, value, err)
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["cube", "split", "--gens", "1,10,100,1000"], '{"x": [0, 2], "y": [1, 3], "sizes": [4, 4], "digit_count": 2}'),
+    (["setop", "iter", "--gens", "1,10,100", "-k", "3", "--op", "sum", "--json"], '"size": 64'),
+    (["setop", "iter", "--gens", "1,10,100", "-k", "3", "--op", "sum", "--counts", "counts.csv"], "{0, 1, 2, 3,"),
+    (["setop", "iter", "--gens", "1,10,100", "-k", "3", "--op", "prod", "--json"], '"size": 66'),
+    (["energy", "A.txt", "--tk", "2"], "28"),
+    (["verify", "olmezov", "A.txt", "B.txt", "D.txt", "--n", "2", "--s", "1", "--m", "2"],
+     '"lhs": 1, "rhs": 192, "pass": true'),
+    (["verify", "energy-lower", "--gens", "1,10,100", "B.txt"], '"lhs": 24, "rhs": 11.313708498984761, "pass": true'),
+    (["conjecture", "--set", "A.txt", "-m", "2"], '"|Q^3|": "20", "n": "3"}'),
+])
+def test_commands_print_their_results(tmp_path, monkeypatch, capsys, argv, says):
+    monkeypatch.chdir(tmp_path)
+    for name, elements in [("A.txt", "1 2 5 7"), ("B.txt", "0 1"), ("D.txt", "0 1 3")]:
+        (tmp_path / name).write_text("\n".join(elements.split()) + "\n")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and says in out, out
+    if "--counts" in argv:
+        # r_3Q over the 8 elements of Q: 8^3 triples in all.
+        rows = (tmp_path / "counts.csv").read_text().splitlines()
+        assert rows[:2] == ["element,count", "0,1"] and sum(int(r.split(",")[1]) for r in rows[1:]) == 8**3
+
+
 def test_cap_exceeded_exit_3(tmp_path, capsys):
     gens = ",".join(str(3**j) for j in range(30))
     code, _, err = run_cli(capsys, "cube", "gen", "--gens", gens)
@@ -230,7 +257,7 @@ def test_cap_exceeded_exit_3(tmp_path, capsys):
     assert code == 3 and "cap" in err
 
 
-def test_check_failure_exit_1(monkeypatch, capsys):
+def test_check_failure_exit_1(tmp_path, monkeypatch, capsys):
     # Falsification events surface as exit 1; fake one to pin the mapping.
     import cubelab.cli as cli_mod
 
@@ -240,6 +267,15 @@ def test_check_failure_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "energy_pair", boom)
     code, _, err = run_cli(capsys, "verify", "identities", "--trials", "1", "--seed", "0")
     assert code == 1
+    monkeypatch.undo()
+    # A check that fails outside verify identities reaches main's exit 1.
+    import cubelab.energy as energy_mod
+
+    monkeypatch.setattr(energy_mod, "_brute_pair_energy", lambda mode, A, B: -1)
+    a = tmp_path / "a.txt"
+    a.write_text("0\n1\n4\n5\n")
+    code, out, err = run_cli(capsys, "energy", str(a))
+    assert code == 1 and out == "" and err.startswith("check failed:"), err
 
 
 def test_console_script_entry_point():

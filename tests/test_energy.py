@@ -2,7 +2,9 @@
 closed forms for non-interacting cubes, and the exponent bounds."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 import random
 
 import pytest
@@ -93,6 +95,14 @@ def test_energy_over_prime_field():
     B = FiniteSet.from_iterable(F13, [0, 4, 7])
     assert energy_pair(ADDITIVE, A, B).value >= len(A) * len(B)
     assert energy_pair(MULTIPLICATIVE, A, B).value >= len(A) * len(B)
+
+
+def test_multiplicative_tk_over_prime_field_counts_k_tuples():
+    # T_k over F_p multiplies residues: the F_p loop of the product convolution.
+    A = FiniteSet.from_iterable(F13, [0, 1, 2, 5, 7])
+    for k, expect in [(1, 5), (2, 117), (3, 4171)]:
+        r = Counter(math.prod(t) % 13 for t in product(A.elements, repeat=k))
+        assert energy_tk(MULTIPLICATIVE, A, k).value == sum(c * c for c in r.values()) == expect
 
 
 def test_bad_k_rejected():

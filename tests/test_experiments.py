@@ -1,13 +1,18 @@
 """Experiment harness: seeded draws, trial records, campaign logs."""
 
 import json
+import math
+import os
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cubelab import experiments
-from cubelab.cube import ADDITIVE, MULTIPLICATIVE, FiniteSet, is_proper
+from cubelab.cli import main
+from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet, is_proper
 from cubelab.experiments import (
     ExperimentRecord,
     conjecture_probe,
@@ -99,6 +104,17 @@ def test_growth_trial_field_bounds():
     spec = random_cube(F101, 4, 1, ADDITIVE, seed=8)
     rec = growth_trial(spec, seed=8)
     assert "fp_branch" in rec.bounds
+
+
+@pytest.mark.parametrize("ring, q", [(Z, 27), (F101, 24)])
+def test_growth_trial_missing_digit_cube(ring, q):
+    # Digits {0, 1, 3} are no interval, so the bound is the QD shape.
+    rec = growth_trial(CubeSpec(ring, 0, (1, 7, 49), (0, 1, 3)))
+    assert rec.measured["|Q|"] == q
+    shape = q ** (26 / 25)
+    if ring.modulus is not None:
+        shape = min(shape, q**0.4 * math.sqrt(ring.modulus))
+    assert rec.bounds == {"QD_shape": shape}
 
 
 def test_growth_trial_multiplicative():
@@ -319,6 +335,28 @@ def test_interrupted_campaign_keeps_finished_records(tmp_path, monkeypatch, jobs
     monkeypatch.undo()
     assert len(run_campaign(CONFIG, log, jobs=jobs)) == len(whole) - _INTERRUPTED
     assert [r.comparable() for r in load_log(log)] == whole
+
+
+def _run_task_dies(task):
+    """run_task whose worker dies on one task of CONFIG, as one killed for
+    lack of memory would, once the records before it are in log.jsonl."""
+    if task == _INTERRUPTED_TASK:
+        deadline = time.monotonic() + 30
+        while Path("log.jsonl").read_text().count("\n") < _INTERRUPTED and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(1)
+    return _run_task(task)
+
+
+def test_dead_campaign_worker_exits_3_and_keeps_finished_records(tmp_path, monkeypatch, capsys):
+    whole = [r.comparable() for r in run_campaign(CONFIG, tmp_path / "whole.jsonl")]
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(CONFIG))
+    monkeypatch.setattr(experiments, "run_task", _run_task_dies)
+    code = main(["campaign", "run", "config.json", "--log", "log.jsonl", "--jobs", "2"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("cap exceeded:") and "worker died" in err, err
+    assert [r.comparable() for r in load_log("log.jsonl")] == whole[:_INTERRUPTED]
 
 
 def test_torn_last_line_is_dropped_and_resumed(tmp_path):
