@@ -179,6 +179,8 @@ def _cmd_setop(args) -> int:
 
 
 def _cmd_setop_iter(args) -> int:
+    if args.counts and args.op != "sum":
+        raise ValueError("--counts is for --op sum")
     spec = _cube_from_args(args)
     if args.op == "sum":
         value_set, counts = iterate_sum(spec, args.k, with_multiplicities=bool(args.counts))
@@ -385,6 +387,9 @@ def _cmd_campaign_export(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    cube_flags = (args.spec, args.a0, args.gens, args.h, args.digits)
+    if args.set and (any(v is not None for v in cube_flags) or args.mode != ADDITIVE):
+        raise ValueError("--set takes no cube flags")
     if args.set:
         ring = _ring_from_args(args)
         Q = _load_set(ring, args.set)

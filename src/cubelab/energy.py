@@ -5,6 +5,12 @@ a1 b1 = a2 b2); it equals the sum of squared representation counts of A + B
 and of A - B, and both routes are computed and compared on every call.  The
 k-energy sums r_{A-A}(x)^k, and T_k sums r_{kA}(x)^2 over the k-fold sumset.
 
+Pair energies and k-energies are power sums of representation counts, so
+they are counted by setops._power_sum, the seam that also counts sizes:
+with A is B over Z it visits half of the pairs and weighs each, and with
+numpy installed it counts large int sets on sorted int64 keys (exact
+values, residues or fingerprints) instead of a Counter of every pair.
+
 For interval cubes with power generators b^(j-1) and b large enough, digit
 sums never interact, so T_k and E_k factor coordinate-wise into closed
 forms built from bounded-composition counts; those closed forms live here
@@ -14,14 +20,13 @@ too, next to the floor/ceiling exponent bounds they calibrate.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
 from .cube import ADDITIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
 from .numeric import RATIO, SUM, mode_ops
-from .setops import DEFAULT_PAIR_CAP, _fold_counts, _pair_keys
+from .setops import DEFAULT_PAIR_CAP, _fold_counts, _power_sum
 
 BRUTE_FORCE_THRESHOLD = 10**4
 
@@ -42,11 +47,6 @@ class EnergyReport:
             "inputs": list(self.inputs),
             "method": self.method,
         }
-
-
-def _pair_energy(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int = 2) -> int:
-    """Sum over x of r(x)^k, r the representation counts of A op B."""
-    return sum(c**k for c in Counter(_pair_keys(op, A, B, cap)).values())
 
 
 def _brute_pair_energy(mode: str, A: FiniteSet, B: FiniteSet) -> int:
@@ -102,8 +102,8 @@ def energy_pair(
     if B is None:
         B = A
     op, inverse = mode_ops(mode)
-    value = _pair_energy(op, A, B, cap)
-    if (inverse != RATIO or 0 not in B) and value != _pair_energy(inverse, A, B, cap):
+    value = _power_sum(op, A, B, cap, 2)
+    if (inverse != RATIO or 0 not in B) and value != _power_sum(inverse, A, B, cap, 2):
         raise AssertionError(f"{op} and {inverse} energy routes disagree")
     if len(A) * len(B) <= BRUTE_FORCE_THRESHOLD:
         if value != _brute_pair_energy(mode, A, B):
@@ -125,7 +125,7 @@ def energy_k(mode: str, A: FiniteSet, k: int, *, cap: int = DEFAULT_PAIR_CAP) ->
     inverse = mode_ops(mode)[1]
     if inverse == RATIO and 0 in A:
         raise ValueError("multiplicative k-energy needs 0 outside the set")
-    value = _pair_energy(inverse, A, A, cap, k)
+    value = _power_sum(inverse, A, A, cap, k)
     return EnergyReport(kind="ek", k=k, value=value, inputs=(f"A[{len(A)}]",), method="convolution")
 
 

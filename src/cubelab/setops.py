@@ -7,23 +7,30 @@ over F_p they are residue sets (zero denominators are always excluded).
 
 All pair arithmetic of the package runs through one kernel, _pair_keys,
 which streams a op b over the pairs: a Counter of the stream gives
-multiplicities, a set gives values.  Only pairwise_size, which needs no
-values, halves the pairs of a same-operand count, by commutativity and
-reflection.
+multiplicities, a set gives values.
 
-Sizes (pairwise_size) are counted by _count_distinct, in one of two lanes:
+Sizes and energies are counted by one seam, _power_sum(op, A, B, cap, k),
+the sum over x of r(x)^k as an exact int: k = 0 is |A op B|
+(pairwise_size), k = 2 the pair energy and k > 2 the k-energy (energy_pair
+and energy_k).  When A is B over Z it visits half of the pairs, by
+commutativity and reflection, and weighs them: an off-diagonal sum or
+product stands for two pairs, a difference or ratio for its mirror image.
+It counts in one of two ways:
 
-- the Python lane, len(set(_pair_keys(...))): the oracle, and the only lane
-  for small inputs, for sets holding a Fraction, for F_p with p >= 2^31 and
-  when numpy is not installed;
-- the numpy lane, for int sets of at least _LANE_MIN_PAIRS pairs: int64 keys
-  built block by block, sorted, and their runs counted.  Over F_p (p < 2^31)
-  a key is the residue itself; over Z it is a fingerprint, the value's
-  residues mod two primes below 2^31 (Karp-Rabin), and every pair whose key
-  repeats is recounted exactly with Python ints or Fractions.
+- the Python route, a Counter (a set for k = 0) of _pair_keys: the oracle,
+  and the only route for small inputs, for sets holding a Fraction, for
+  F_p with p >= 2^31 and when numpy is not installed;
+- the numpy lane, for int sets of at least _LANE_MIN_PAIRS pairs: int64
+  keys built block by block and sorted, each run of equal keys one value.
+  Over F_p (p < 2^31) a key is the residue itself.  Over Z it is the value
+  itself where every result fits an int64 (lane A), a ratio's reduced
+  (num, den) packed into one key where the elements are below 2^31, and
+  elsewhere a fingerprint (lane B): the value's residues mod two primes
+  below 2^31 (Karp-Rabin), every pair whose key repeats being recounted
+  exactly, with its weight, in Python ints or Fractions.
 
-Both lanes give the same size; numpy is imported only when the numpy lane
-is tried, never by ``import cubelab``.
+Both give the same counts; numpy is imported only when the lane is tried,
+never by ``import cubelab``.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .numeric import _ARITH, DIFF, INTEGERS, PROD, RATIO, SUM, AmbientRing, CapE
 DEFAULT_PAIR_CAP = 1 << 26
 DEFAULT_GRID_CAP = 1 << 24
 
-# The numpy lane of _count_distinct runs from this many pairs in A x B.  On
+# The numpy lane of _power_sum runs from this many pairs in A x B.  On
 # proper growth cubes over Z (A is B, so about half the pairs are visited;
 # Python set against numpy lane, best of 25 calls on a 2-vCPU VM) the four
 # ops took 0.19-0.98 ms against 0.18-0.45 ms at d=6 (4096 pairs), 0.66-3.1 ms
@@ -95,28 +102,32 @@ def _check_pair_cap(A: FiniteSet, B: FiniteSet, cap: int) -> None:
         raise CapExceededError(f"{len(A)}x{len(B)} pairs exceed cap {cap}")
 
 
-def _check_magnitude(ring: AmbientRing, op: str, A: FiniteSet, B: FiniteSet) -> None:
-    """One up-front bound check instead of one per pair."""
+def _check_magnitude(ring: AmbientRing, op: str, A: FiniteSet, B: FiniteSet) -> int | None:
+    """One up-front bound check instead of one per pair.  Returns, for int
+    sets over Z, the largest magnitude of an operand or a result (for a
+    ratio, of an operand: a reduced num and den are no larger); None
+    elsewhere."""
     if ring.kind != INTEGERS or not A.elements or not B.elements:
-        return
+        return None
     if any(isinstance(x, Fraction) for x in (A.elements[0], A.elements[-1], B.elements[0], B.elements[-1])):
-        return
+        return None
     ma = max(abs(A.elements[0]), abs(A.elements[-1]))
     mb = max(abs(B.elements[0]), abs(B.elements[-1]))
-    worst = ma + mb if op in (SUM, DIFF) else ma * mb if op == PROD else 0
+    worst = max(ma, mb, ma + mb if op in (SUM, DIFF) else ma * mb if op == PROD else 0)
     if worst > ring.magnitude_cap:
         raise CapExceededError(f"{op} results would exceed the magnitude cap")
+    return worst
 
 
-def _check_pairs(op: str, A: FiniteSet, B: FiniteSet, cap: int) -> AmbientRing:
+def _check_pairs(op: str, A: FiniteSet, B: FiniteSet, cap: int) -> tuple[AmbientRing, int | None]:
     """The checks every pairing runs first: one ring, a known op, the pair
-    cap and the magnitude cap."""
+    cap and the magnitude cap.  Returns the ring and _check_magnitude's
+    bound."""
     ring = _require_same_ring(A, B)
     if op not in (SUM, DIFF, PROD, RATIO):
         raise ValueError(f"unknown pairwise op {op!r}")
     _check_pair_cap(A, B, cap)
-    _check_magnitude(ring, op, A, B)
-    return ring
+    return ring, _check_magnitude(ring, op, A, B)
 
 
 def _all_ints(*sets: FiniteSet) -> bool:
@@ -139,10 +150,10 @@ def _pair_keys(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool = False
     products with the inverses of B.
 
     Pairs run over A x B, or with same=True (A is B over Z) over the half
-    pairwise_size counts: i <= j for sum and prod, i < j for diff, and for
+    _power_sum visits: i <= j for sum and prod, i < j for diff, and for
     ratios i < j over the absolute values of A's nonzero elements.
     """
-    p = _check_pairs(op, A, B, cap).modulus
+    p = _check_pairs(op, A, B, cap)[0].modulus
     ea, eb = A.elements, B.elements
     if op == RATIO and p is not None:
         op, eb = PROD, [pow(b, -1, p) for b in eb if b]
@@ -173,30 +184,75 @@ def _pair_keys(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool = False
     return chain.from_iterable(keys)
 
 
-def _count_distinct(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool) -> int:
-    """len(set(_pair_keys(op, A, B, cap, same))), on numpy keys where that
-    lane applies (see the module docstring): int elements, Z or F_p with
-    p < 2^31, at least _LANE_MIN_PAIRS pairs in A x B, and numpy importable.
+def _power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int) -> int:
+    """The counting seam: sum over x in A op B of r(x)^k as an exact int,
+    r(x) = #{(a, b) : a op b = x}; k = 0 gives |A op B|.
 
-    Over Z the keys are fingerprints mod two of _FINGERPRINT_PRIMES; the
-    pairs whose fingerprint repeats are recounted exactly.  When they are
-    more than half of the pairs, the Python lane is as fast, and takes the
-    input.
+    A is B over Z visits half of the pairs.  Sum and prod commute: they
+    visit i <= j, where a pair off the diagonal stands for two.  Diff
+    visits i < j, whose differences are all negative: r(-x) = r(x) and
+    r(0) = |A|.  When the nonzero elements share a sign, ratio visits the
+    ratios i < j of their absolute values, which lie on one side of 1:
+    the reciprocals have the same counts, r(1) is the number n of nonzero
+    elements, and r(0) = n when 0 is in A.  Ratios of a set with both
+    signs visit all of A x A.
+
+    The visited pairs are counted on numpy keys where _lane_power_sum
+    applies, and by a Counter (a set for k = 0) of _pair_keys otherwise.
+    """
+    ea = A.elements
+    same = A is B and A.ring.kind == INTEGERS and not (op == RATIO and ea and ea[0] < 0 < ea[-1])
+    half = _lane_power_sum(op, A, B, cap, k, same)
+    if half is None:
+        half = _python_power_sum(op, A, B, cap, k, same)
+    if not same or op in (SUM, PROD):
+        return half
+    zero = op == RATIO and 0 in A
+    n = len(ea) - zero
+    return 2 * half + (n**k if n else 0) * (1 + zero)
+
+
+def _python_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same: bool) -> int:
+    """The oracle route of _power_sum over the pairs it visits, which for
+    k = 0 needs only the set of keys."""
+    keys = _pair_keys(op, A, B, cap, same)
+    if not k:
+        return len(set(keys))
+    counts = Counter(keys)
+    power_sum = sum(c**k for c in counts.values())
+    if not (same and op in (SUM, PROD)):
+        return power_sum
+    # r(x) = 2 c(x) - (the diagonal pairs among the c(x) visited ones).
+    power_sum <<= k
+    for x, d in Counter(map(_ARITH[op], A.elements, A.elements)).items():
+        c = counts[x]
+        power_sum += (2 * c - d) ** k - (2 * c) ** k
+    return power_sum
+
+
+def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same: bool) -> int | None:
+    """_power_sum over the pairs it visits, on numpy keys (see the module
+    docstring): int elements, Z or F_p with p < 2^31, at least
+    _LANE_MIN_PAIRS pairs in A x B, and numpy importable.  None where the
+    lane does not apply, or hands the input back.
+
+    The keys are sorted; a run of equal keys is one value, whose r is the
+    run's length, or its weight with a diagonal when sum or prod visit
+    i <= j.  Fingerprint runs longer than one pair are recounted exactly
+    with Python ints or Fractions; when they hold more than half of the
+    pairs, the Python route is as fast, and takes the input.
     """
     ea, eb = A.elements, B.elements
-
-    def python() -> int:
-        return len(set(_pair_keys(op, A, B, cap, same)))
-
     if len(ea) * len(eb) < _LANE_MIN_PAIRS:
-        return python()
-    p = _check_pairs(op, A, B, cap).modulus
+        return None
+    ring, bound = _check_pairs(op, A, B, cap)
+    p = ring.modulus
     if (p is not None and p >= 1 << 31) or not _all_ints(A, B):
-        return python()
+        return None
     try:
         import numpy as np
     except ImportError:
-        return python()
+        return None
     # Rows xs, columns ys, and with same the pairs j >= i + tri only, as in
     # _pair_keys.  A ratio's value keeps its sign however it is written, so
     # the lane needs no sign rows.
@@ -205,13 +261,15 @@ def _count_distinct(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool) -
     else:
         xs, ys = ea, [y for y in eb if y] if op == RATIO else eb
     tri = (op in (DIFF, RATIO)) if same else None
-    keys_of = _lane_keys(np, op, xs, ys, p)
-    if keys_of is None:
-        return python()
+    doubled = same and op in (SUM, PROD)
     n_rows, n_cols = len(xs), len(ys)
     total = n_rows * n_cols if tri is None else n_rows * (n_rows + 1 - 2 * tri) // 2
     if not total:
         return 0
+    exact = p is not None or bound < (1 << 31 if op == RATIO else 1 << 63)
+    keys_of = _lane_keys(np, op, xs, ys, p, exact)
+    if keys_of is None:
+        return None
 
     def blocks():
         """(i0, j0, keys, keep): keys[r, c] is the key of the pair
@@ -227,47 +285,95 @@ def _count_distinct(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool) -
             r, c = np.indices(keys.shape, sparse=True)
             yield i0, j0, keys, c >= r
 
+    def recount(repeated) -> Counter:
+        """r(x) of the values of the pairs whose key is in repeated."""
+        value_of = Fraction if op == RATIO else _ARITH[op]
+        values = Counter()
+        for i0, j0, keys, keep in blocks() if len(repeated) else ():
+            hit = _find(np, repeated, keys)[1]
+            if keep is not None:
+                hit &= keep
+            for r, c in zip(*(ix.tolist() for ix in np.nonzero(hit))):
+                i, j = i0 + r, j0 + c
+                values[value_of(xs[i], ys[j])] += 1 + (doubled and i != j)
+        return values
+
     flat = np.empty(total, np.int64)
+    diagonal = []
     at = 0
     for _, _, keys, keep in blocks():
+        if doubled and k:
+            diagonal.append(np.diagonal(keys).copy())
         keys = keys.ravel() if keep is None else keys[keep]
         flat[at:at + len(keys)] = keys
         at += len(keys)
     flat.sort()
-    dup = flat[1:] == flat[:-1]
-    n_dup = int(np.count_nonzero(dup))
-    if p is not None or not n_dup:
-        return total - n_dup
-    # Pairs whose fingerprint repeats: n_dup + len(repeated) of them.
-    repeated = np.unique(flat[1:][dup])
-    del flat, dup
-    if 2 * (n_dup + len(repeated)) > total:
-        return python()
-    exact = Fraction if op == RATIO else _ARITH[op]
-    values = set()
-    for i0, j0, keys, keep in blocks():
-        hit = repeated[np.minimum(np.searchsorted(repeated, keys), len(repeated) - 1)] == keys
-        if keep is not None:
-            hit &= keep
-        for r, c in zip(*np.nonzero(hit)):
-            values.add(exact(xs[i0 + r], ys[j0 + c]))
-    return total - n_dup - len(repeated) + len(values)
+    # A run of L >= 2 equal keys leaves L - 1 of them in dups.  A run of one
+    # is a value of weight 1, or 2 off the diagonal when sum or prod visit
+    # i <= j.
+    dups = flat[1:][flat[1:] == flat[:-1]]
+    del flat
+    first = np.flatnonzero(np.concatenate(([True], dups[1:] != dups[:-1])))[:len(dups)]
+    repeated, weights = dups[first], np.diff(first, append=len(dups)) + 1
+    del dups, first
+    in_runs = int(weights.sum())
+    if not exact and 2 * in_runs > total:
+        return None
+    power_sum = total - in_runs
+    if doubled and k:
+        diagonal = np.concatenate(diagonal)
+        where, repeats = _find(np, repeated, diagonal)
+        power_sum += (power_sum - len(diagonal) + int(np.count_nonzero(repeats))) * (2**k - 1)
+    if not exact:
+        return power_sum + sum(c**k for c in recount(repeated).values())
+    if doubled and k:
+        weights *= 2
+        np.subtract.at(weights, where[repeats], 1)
+    # Sums of powers overflow int64: they are taken in Python ints, over
+    # the histogram of the weights, which are at most |A| + |B|.
+    return power_sum + sum(c * w**k for w, c in enumerate(np.bincount(weights).tolist()) if c)
 
 
-def _lane_keys(np, op: str, xs, ys, p):
+def _find(np, table, keys):
+    """(at, found): where each key would go in the sorted table, and
+    whether it is there."""
+    at = np.searchsorted(table, keys)
+    if not len(table):
+        return at, np.zeros(at.shape, bool)
+    return at, table[np.minimum(at, len(table) - 1)] == keys
+
+
+def _lane_keys(np, op: str, xs, ys, p, exact: bool):
     """keys_of(rows, cols), the int64 keys of the pairs xs[i] op ys[j] (ys
     nonzero for ratios) over a block of rows and columns (two slices) as a
-    2-D array: residues mod p over F_p, fingerprints mod two primes over Z.
+    2-D array.  Over F_p a key is the residue.  Over Z, when exact, it is
+    the value itself, and for a ratio the reduced (num, den), den > 0,
+    packed into one key; otherwise it is a fingerprint mod two primes.
     None when fewer than two fingerprint primes are usable: a ratio's needs
     the inverse of every b.
     """
+    arith = {SUM: np.add, DIFF: np.subtract, PROD: np.multiply, RATIO: np.multiply}[op]
+    if p is None and exact:
+        X, Y = np.array(xs, np.int64), np.array(ys, np.int64)
+        if op != RATIO:
+            return lambda rows, cols: arith(X[rows, None], Y[cols])
+        sign, Y = np.sign(Y), np.abs(Y)
+
+        def ratio_keys(rows, cols):
+            a, b = X[rows, None] * sign[cols], Y[cols]
+            g = np.gcd(a, b)
+            keys = a // g
+            keys *= 1 << 32
+            keys += b // g
+            return keys
+
+        return ratio_keys
     if p is None:
         moduli = [q for q in _FINGERPRINT_PRIMES if op != RATIO or all(y % q for y in ys)][:2]
         if len(moduli) < 2:
             return None
     else:
         moduli = [p]
-    arith = {SUM: np.add, DIFF: np.subtract, PROD: np.multiply, RATIO: np.multiply}[op]
     residues = [
         (q, np.array([x % q for x in xs], np.int64),
          np.array([pow(y, -1, q) if op == RATIO else y % q for y in ys], np.int64))
@@ -309,24 +415,8 @@ def pairwise_set(op: str, A: FiniteSet, B: FiniteSet, *, cap: int = DEFAULT_PAIR
 
 
 def pairwise_size(op: str, A: FiniteSet, B: FiniteSet, *, cap: int = DEFAULT_PAIR_CAP) -> int:
-    """|A op B| without building a sorted set; the fast path for growth trials.
-
-    A is B over Z halves the work: sum and prod commute; the differences
-    i < j are all negative, the pairs j < i their negations and 0 the
-    diagonal.  When the nonzero elements share a sign, the ratios i < j of
-    their absolute values lie on one side of 1 and their reciprocals on the
-    other; 1 is the diagonal, and 0 / x = 0 when 0 is in A.  Ratios of a
-    set with both signs count all of A x A.
-    """
-    ea = A.elements
-    same = A is B and A.ring.kind == INTEGERS and not (op == RATIO and ea and ea[0] < 0 < ea[-1])
-    c = _count_distinct(op, A, B, cap, same)
-    if not same or op in (SUM, PROD):
-        return c
-    if op == DIFF:
-        return 2 * c + bool(ea)
-    has_zero = 0 in A
-    return 2 * c + 1 + has_zero if len(ea) > has_zero else 0
+    """|A op B| without building a sorted set; the fast path for growth trials."""
+    return _power_sum(op, A, B, cap, 0)
 
 
 def _fold_digit_sumset(digits: tuple[int, ...], k: int) -> tuple[int, ...]:

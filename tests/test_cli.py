@@ -199,6 +199,10 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         # --k and --tk are energies of A alone.
         (["energy", "half.txt", "half.txt", "--k", "2"], "one set"),
         (["energy", "half.txt", "half.txt", "--tk", "2"], "one set"),
+        # Flags that the command would otherwise drop without a word.
+        (["setop", "iter", "--gens", "1,10", "-k", "2", "--op", "prod", "--counts", "pc.csv"], "--counts"),
+        (["conjecture", "--set", "half.txt", "--gens", "1,3", "-m", "2"], "cube flags"),
+        (["conjecture", "--set", "half.txt", "--mode", "multiplicative", "-m", "2"], "cube flags"),
     ]:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:") and says in err, (argv, err)

@@ -226,14 +226,16 @@ def test_expand_campaign_rejects_empty_ranges_and_negative_d(key, value, says):
 
 
 def test_campaign_records_do_not_depend_on_numpy(tmp_path, monkeypatch):
-    # d=8 cubes have 2^16 pairs, enough for the numpy lane of pairwise_size
-    # over Z and F_10007; hiding numpy sends every size to the Python route.
-    config = {"experiments": ["growth_additive", "growth_multiplicative"], "dRange": [7, 8],
-              "pList": [10007], "seeds": [0, 1]}
+    # d=8 cubes have 2^16 pairs, enough for the numpy lane of sizes and
+    # energies over Z and F_10007; hiding numpy sends every count to the
+    # Python route.
+    config = {"experiments": ["growth_additive", "growth_multiplicative", "energy_additive",
+                              "energy_multiplicative"],
+              "dRange": [7, 8], "pList": [10007], "seeds": [0, 1]}
     with_numpy = run_campaign(config, tmp_path / "with.jsonl")
     monkeypatch.setitem(sys.modules, "numpy", None)
     without = run_campaign(config, tmp_path / "without.jsonl")
-    assert len(with_numpy) == 16
+    assert len(with_numpy) == 32
     assert json.dumps([r.comparable() for r in without]) == json.dumps([r.comparable() for r in with_numpy])
 
 

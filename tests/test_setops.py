@@ -4,6 +4,7 @@ higher correlations, checked against brute-force recounts."""
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -358,7 +359,7 @@ def test_sum_diff_duality(xs, ys):
     assert dict(rsum.items()) == dict(rdiff.items())
 
 
-# --- the numpy lane of pairwise_size, against the Python route ----------------
+# --- the numpy lane of _power_sum, against the Counter/set oracle -------------
 
 try:
     import numpy  # noqa: F401  (only to learn whether the lane can run)
@@ -367,6 +368,7 @@ try:
 except ImportError:
     HAVE_NUMPY = False
 OPS = (SUM, DIFF, PROD, RATIO)
+KS = (0, 2, 3)
 TINY_PRIMES = (101, 103)
 P31 = 2**31 - 1
 # The smallest prime above 2^31: its residues no longer fit the lane's keys.
@@ -374,17 +376,18 @@ P31_UP = 2147483659
 F10007 = AmbientRing.prime_field(10007)
 
 
-def _python_count(op, A, B, same=False):
-    return len(set(setops._pair_keys(op, A, B, DEFAULT_PAIR_CAP, same)))
+def _oracle(op, A, B, k):
+    """Sum of r(x)^k over a Counter of every pair of A x B, with no halving."""
+    return sum(c**k for c in Counter(setops._pair_keys(op, A, B, DEFAULT_PAIR_CAP)).values())
 
 
-def _lane_count(op, A, B, same=False, primes=_FINGERPRINT_PRIMES):
-    """The lane on inputs of any size (the threshold lowered to 0), with the
-    given fingerprint primes."""
+def _lane(op, A, B, k, primes=_FINGERPRINT_PRIMES):
+    """_power_sum on inputs of any size (the lane threshold lowered to 0),
+    with the given fingerprint primes."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
         mp.setattr(setops, "_FINGERPRINT_PRIMES", primes)
-        return setops._count_distinct(op, A, B, DEFAULT_PAIR_CAP, same)
+        return setops._power_sum(op, A, B, DEFAULT_PAIR_CAP, k)
 
 
 @pytest.fixture
@@ -402,15 +405,18 @@ def python_route(monkeypatch):
 
 
 def _assert_lane_matches(A, B, primes=_FINGERPRINT_PRIMES):
+    """Every op and k in KS, on A x B and on A x A (A is A: the halved count
+    over Z).  Runs the oracle 24 times."""
     for op in OPS:
-        assert _lane_count(op, A, B, False, primes) == _python_count(op, A, B), (op, A, B)
-        if A.ring.modulus is None:
-            assert _lane_count(op, A, A, True, primes) == _python_count(op, A, A, True), (op, A)
+        for k in KS:
+            for X, Y in ((A, B), (A, A)):
+                assert _lane(op, X, Y, k, primes) == _oracle(op, X, Y, k), (op, k, X, Y)
 
 
 _lane_ints = st.one_of(
     st.integers(-40, 40), st.integers(-(2**31), 2**31), st.integers(-(2**70), 2**70),
-    st.sampled_from([0, 101, -103, 101 * 103, P31, 2 * P31]),
+    st.sampled_from([0, 101, -103, 101 * 103, P31, 2 * P31, 2**31, -(2**31), 2**32,
+                     2**62, -(2**62), 2**63 - 1, -(2**63) + 1, 2**63, -(2**63)]),
 )
 
 
@@ -422,6 +428,10 @@ _lane_ints = st.one_of(
     st.sampled_from([_FINGERPRINT_PRIMES, TINY_PRIMES]),
 )
 def test_count_lane_matches_python_route(xs, ys, p, primes):
+    # Sizes (k = 0) and energies (k = 2, 3) of all four ops; negatives, 0,
+    # mixed-sign ratio sets, values on both sides of 2^63 (lane A against
+    # fingerprints) and of 2^31 (packed ratios), and, with the tiny primes,
+    # fingerprint runs that are recounted with their pair weights.
     ring = Z if p is None else AmbientRing.prime_field(p)
     _assert_lane_matches(FiniteSet.from_iterable(ring, xs), FiniteSet.from_iterable(ring, ys), primes)
 
@@ -436,10 +446,12 @@ def test_tiny_fingerprint_primes_are_recounted(python_route):
     for op in OPS:
         pairs = [(a, b) for a in A.elements for b in B.elements if op != RATIO or b]
         prints = {tuple(_scalar_mod(op, a, b, q) for q in TINY_PRIMES) for a, b in pairs}
-        assert len(prints) < _python_count(op, A, B)
-        del python_route[:]
-        assert _lane_count(op, A, B, primes=TINY_PRIMES) == _python_count(op, A, B)
-        assert len(python_route) == 1 + (not HAVE_NUMPY)
+        assert len(prints) < _oracle(op, A, B, 0)
+        for k in KS:
+            for X, Y in ((A, B), (A, A)):
+                del python_route[:]
+                assert _lane(op, X, Y, k, primes=TINY_PRIMES) == _oracle(op, X, Y, k)
+                assert len(python_route) == 1 + (not HAVE_NUMPY)
 
 
 def _scalar_mod(op, a, b, q):
@@ -453,20 +465,22 @@ def test_elements_divisible_by_a_fingerprint_prime(python_route):
     A = zset(0, q1, -q1 * 2**40, q2 * q3, 2**70 + 1, -(2**65))
     B = zset(q1 * 7, 3, -(2**66), q2, 2**64 + q1)
     _assert_lane_matches(A, B)
-    # Every prime divides an element of B: no two are usable for ratios.
+    # Every prime divides an element of C: no two are usable for ratios.
     del python_route[:]
     C = zset(q1 * 2**40, q2, q3 * 5, 2**64 + 1)
-    assert _lane_count(RATIO, A, C, primes=(q1, q2, q3)) == _python_count(RATIO, A, C)
+    assert _lane(RATIO, A, C, 0, primes=(q1, q2, q3)) == _oracle(RATIO, A, C, 0)
     assert len(python_route) == 2
 
 
 def test_values_at_the_int64_edge():
-    # Fingerprints are taken of Python ints: values past 2^63 never pass
-    # through an int64.  2^62 + 2^62 would wrap to -2^63 = (-2^62) + (-2^62).
+    # Lane A takes results below 2^63 as int64 keys; above, the keys are
+    # fingerprints of Python ints, so no value passes through an int64:
+    # 2^62 + 2^62 would wrap to -2^63 = (-2^62) + (-2^62).
     _assert_lane_matches(zset(2**62, -(2**62)), zset(2**62, -(2**62), 1))
     _assert_lane_matches(zset(0), zset(2**64, -(2**65)))
     _assert_lane_matches(zset(2**63 - 1, -(2**63) + 1, 0), zset(0, 1, -1))
     _assert_lane_matches(zset(2**31, -(2**31), 6), zset(2**31 - 2, 3, -4))
+    _assert_lane_matches(zset(2**31 - 1, -(2**31) + 1, 6), zset(2**31 - 2, 3, -4, 2**31 - 1))
 
 
 def test_prime_field_edge(python_route):
@@ -477,18 +491,35 @@ def test_prime_field_edge(python_route):
         B = FiniteSet.from_iterable(ring, [0, 2, p - 2] + [rng.randrange(p) for _ in range(20)])
         del python_route[:]
         _assert_lane_matches(A, B)
-        # The oracle runs once per op; the lane only where it is out of reach.
-        assert len(python_route) == 4 * (1 + (p >= 2**31 or not HAVE_NUMPY))
+        # The oracle runs every time; the lane's fallback only where the
+        # lane is out of reach.
+        assert len(python_route) == 24 * (1 + (p >= 2**31 or not HAVE_NUMPY))
 
 
 def test_colliding_big_ints_are_handed_over(python_route):
     # Sums of an arithmetic progression: most pairs share their value, so
     # most keys repeat and the Python route takes the input.
     A = zset(*(2**70 + 3 * k for k in range(30)))
-    del python_route[:]
-    assert _lane_count(SUM, A, A, True) == _python_count(SUM, A, A, True) == 59
-    assert len(python_route) == 2
-    assert _lane_count(DIFF, A, A) == 59
+    for k in KS:
+        del python_route[:]
+        assert _lane(SUM, A, A, k) == _oracle(SUM, A, A, k)
+        assert len(python_route) == 2
+    assert _lane(SUM, A, A, 0) == 59
+    assert _lane(DIFF, A, zset(*A.elements), 0) == 59
+
+
+def test_interval_cube_counts_on_lane_a(python_route):
+    # {0..255}, the interval cube at d=8: every result fits an int64 and
+    # most pairs repeat a value, so only exact keys count it on the lane.
+    Q = enumerate_cube(_cube([2**j for j in range(8)]))
+    n = len(Q)
+    assert Q.elements == tuple(range(n)) and n * n >= _LANE_MIN_PAIRS
+    got = {(op, k): setops._power_sum(op, Q, Q, DEFAULT_PAIR_CAP, k) for op in OPS for k in (0, 2)}
+    assert len(python_route) == (not HAVE_NUMPY) * len(got)
+    assert got[SUM, 0] == got[DIFF, 0] == 2 * n - 1
+    assert got[SUM, 2] == got[DIFF, 2] == (2 * n**3 + n) // 3
+    for (op, k), value in got.items():
+        assert value == _oracle(op, Q, Q, k), (op, k)
 
 
 def test_pairwise_size_takes_the_lane_from_the_threshold(python_route):
