@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product, repeat, starmap
-from math import gcd
+from math import gcd, prod
 from operator import mod
 
 from .cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
@@ -558,12 +558,29 @@ class CorrelationTable:
         return sorted(self.table.items())
 
 
+def _count_at(base, point, members, shift) -> int:
+    """#{z in base : shift(z, x) in m for x, m in zip(point, members)}."""
+    total = 0
+    checks = tuple(zip(point, members))
+    for z in base:
+        for x, m in checks:
+            if shift(z, x) not in m:
+                break
+        else:
+            total += 1
+    return total
+
+
 def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_CAP) -> CorrelationTable:
     """Higher correlation of k+1 sets: sum over z of the shifted indicators.
 
-    shifts: either a list of k-tuples to evaluate, or "all" to enumerate
-    the whole (finite) support grid.  In multiplicative mode the support
-    is infinite when every set contains 0, which is rejected.
+    shifts: a list of k-tuples to evaluate one by one, or "all" for every
+    tuple with a nonzero count.  "all" walks the base point: each z in A_1
+    adds one to every tuple of prod_i (A_{i+1} op^-1 {z}).  It raises past
+    grid_cap tuples at one base point or entries in the table, both at most
+    the grid prod_i (A_{i+1} op^-1 A_1).  Multiplicative mode skips z = 0,
+    which has no inverse: 0 shifts to 0 only, so it would count only if 0
+    were in every set, whose support is infinite and rejected.
     """
     op, inverse = mode_ops(mode)
     sets = list(sets)
@@ -571,39 +588,31 @@ def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_C
         raise ValueError("correlation needs at least two sets")
     ring = _require_same_ring(*sets)
     k = len(sets) - 1
-    base = sets[0]
-    members = [s._members for s in sets]
-    shift = _scalar_op(op, ring)
-
-    def evaluate(point) -> int:
-        total = 0
-        for z in base.elements:
-            for x, m in zip(point, members[1:]):
-                if shift(z, x) not in m:
-                    break
-            else:
-                total += 1
-        return total
-
+    base, later = sets[0], sets[1:]
     table: dict = {}
-    if shifts == "all":
-        if mode == MULTIPLICATIVE and all(0 in m for m in members):
-            raise ValueError("correlation support is not finite: 0 lies in every set")
-        # The cap admits every pair: the grid cap below is the limit here.
-        candidates = [pairwise_set(inverse, s, base, cap=len(s) * len(base)).elements for s in sets[1:]]
-        grid = 1
-        for cand in candidates:
-            grid *= len(cand)
-        if grid > grid_cap:
-            raise CapExceededError(f"correlation grid of {grid} points exceeds cap {grid_cap}")
-        for point in product(*candidates):
-            c = evaluate(point)
-            if c:
-                table[point] = c
-    else:
+    if shifts != "all":
+        members = [s._members for s in later]
+        shift = _scalar_op(op, ring)
         for point in shifts:
             point = tuple(ring.normalize(x) for x in point)
             if len(point) != k:
                 raise ValueError(f"shift tuple {point} has arity {len(point)}, expected {k}")
-            table[point] = evaluate(point)
+            table[point] = _count_at(base.elements, point, members, shift)
+        return CorrelationTable(mode=mode, arity=k, table=table)
+    if mode == MULTIPLICATIVE and all(0 in s for s in sets):
+        raise ValueError("correlation support is not finite: 0 lies in every set")
+    for s in later:
+        _check_magnitude(ring, inverse, s, base)
+    # a op^-1 z as pairwise_set computes it: past the check above, uncapped.
+    undo = _ARITH.get(inverse, Fraction) if ring.modulus is None else _scalar_op(inverse, ring)
+    tuples = prod(map(len, later))
+    for z in base.elements:
+        if inverse == RATIO and not z:
+            continue
+        if tuples > grid_cap:
+            raise CapExceededError(f"correlation walk of {tuples} tuples at one base point exceeds cap {grid_cap}")
+        for point in product(*([undo(a, z) for a in s.elements] for s in later)):
+            table[point] = table.get(point, 0) + 1
+        if len(table) > grid_cap:
+            raise CapExceededError(f"correlation table of {len(table)} entries exceeds cap {grid_cap}")
     return CorrelationTable(mode=mode, arity=k, table=table)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iter_product
-from math import sqrt
+from math import log2, sqrt
 from operator import add
 
 from .cube import (
@@ -25,10 +25,12 @@ from .cube import (
     is_proper,
 )
 from .energy import energy_pair
-from .numeric import PRIME_FIELD, CapExceededError, mode_ops
-from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, _pair_keys, _require_same_ring, _scalar_op, pairwise_set
+from .numeric import DIFF, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, mode_ops
+from .setops import DEFAULT_PAIR_CAP, _count_at, _pair_keys, _require_same_ring, _scalar_op, pairwise_set
 
 OLMEZOV_TERM_CAP = 10**9
+# olmezov_sides' side cap: 14000 bits stay under the 4300 digits Python prints.
+_OLMEZOV_SIDE_BITS = 14000
 
 
 @dataclass(frozen=True)
@@ -170,38 +172,25 @@ def olmezov_sides(
     ring = _require_same_ring(A, B, D)
     if mode == MULTIPLICATIVE and 0 in A:
         raise ValueError("multiplicative mode needs 0 outside A")
+    # sigma <= |A||B|, and the grid sum has at most |A|^m terms of at most |B|^n.
+    la, lb, ld = (log2(max(len(X), 1)) for X in (A, B, D))
+    if max(m * n * (la + lb), n * m * la + (n + s * (m - 1)) * lb + (n - s) * (m - 1) * ld) > _OLMEZOV_SIDE_BITS:
+        raise CapExceededError(f"the sides would exceed {_OLMEZOV_SIDE_BITS} bits")
     if len(A) ** m * max(len(B), 1) ** s * (m + s) > term_cap:
         raise CapExceededError("shift grid exceeds the term cap")
     comb, undo = _scalar_op(op, ring), _scalar_op(inverse, ring)
     # Each element of A is inverted once: every shift below is a product with
     # one of these, and a product is cheaper than a ratio over F_p.
     inv = {a: undo(0 if op == SUM else 1, a) for a in A.elements}
-    b_members, d_members = B._members, D._members
+    d_members = D._members
 
-    sigma = 0
-    for x in A.elements:
-        ix = inv[x]
-        for y in B.elements:
-            if comb(y, ix) in d_members:
-                sigma += 1
+    sigma = sum(comb(y, ix) in d_members for ix in inv.values() for y in B.elements)
     lhs = sigma ** (m * n)
 
     coef = len(A) ** ((n - 1) * m) * len(B) ** (s * (m - 1)) * len(D) ** ((n - s) * (m - 1))
+    # C_m(B) at each shift tuple, counted once.
     corr_memo: dict = {}
-
-    def corr_m_of_b(xs: tuple) -> int:
-        val = corr_memo.get(xs)
-        if val is None:
-            val = 0
-            for z in B.elements:
-                for x in xs:
-                    if comb(z, x) not in b_members:
-                        break
-                else:
-                    val += 1
-            corr_memo[xs] = val
-        return val
-
+    b_rows = [B._members] * (m - 1)
     grid_sum = 0
     power = n - s
     for z in A.elements:
@@ -211,7 +200,9 @@ def olmezov_sides(
         inv_cand = [comb(z, inv[a]) for a in A.elements]
         ys_cand = [y for y in (comb(b, iz) for b in B.elements) if y in d_members]
         for xs, inv_xs in zip(iter_product(xs_cand, repeat=m - 1), iter_product(inv_cand, repeat=m - 1)):
-            cm = corr_m_of_b(xs)
+            cm = corr_memo.get(xs)
+            if cm is None:
+                cm = corr_memo[xs] = _count_at(B.elements, xs, b_rows, comb)
             if cm == 0:
                 continue
             live = 0

@@ -259,6 +259,13 @@ def test_cap_exceeded_exit_3(tmp_path, capsys):
     inst.write_text(json.dumps({"p": 100003, "points": [[1, 2]]}))
     code, _, err = run_cli(capsys, "incidence", "2d", str(inst), "--all-lines")
     assert code == 3 and "cap" in err
+    # The Hoelder chain's sides would pass 4300 decimal digits at n = 2000,
+    # and take a 10^8-fold power at n = 10^8: both are refused up front.
+    s = tmp_path / "s.txt"
+    s.write_text("1\n2\n3\n")
+    for n in ("2000", "100000000"):
+        code, _, err = run_cli(capsys, "verify", "olmezov", str(s), str(s), str(s), "--n", n, "--s", "1", "--m", "3")
+        assert code == 3 and err.startswith("cap exceeded:"), (n, err)
 
 
 def test_check_failure_exit_1(tmp_path, monkeypatch, capsys):

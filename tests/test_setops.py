@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cubelab import setops
 from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet, enumerate_cube
 from cubelab.energy import partition_count
-from cubelab.numeric import AmbientRing, CapExceededError
+from cubelab.numeric import AmbientRing, CapExceededError, mode_ops
 from cubelab.setops import (
     _FINGERPRINT_PRIMES,
     _LANE_MIN_PAIRS,
@@ -345,6 +345,63 @@ def test_correlation_grid_cap():
         correlation(ADDITIVE, [A, A, A], grid_cap=100)
 
 
+def test_correlation_cap_edges():
+    # 30 tuples per base point and 59 live shifts: both within the cap of
+    # 100, although the walk visits 900 tuples in all.
+    A = zset(*range(30))
+    assert len(correlation(ADDITIVE, [A, A], grid_cap=100).table) == 59
+    # The walk skips z = 0, which has no inverse, before its 200 tuples
+    # could be counted against the cap.
+    assert correlation(MULTIPLICATIVE, [zset(0), zset(*range(1, 201))], grid_cap=100).table == {}
+
+
+_CORRELATION_RINGS = [Z, AmbientRing.integers(magnitude_cap=40), AmbientRing.prime_field(7), F13,
+                      AmbientRing.prime_field(101)]
+
+
+def _grid_oracle(mode, sets):
+    """The nonzero counts at every point of the grid prod_i (A_{i+1} op^-1 A_1),
+    each counted one by one with explicit shifts over uncapped Z (or F_p): a
+    shift past the magnitude cap cannot land in a set anyway."""
+    inverse = mode_ops(mode)[1]
+    grid = iter_product(*(pairwise_set(inverse, s, sets[0]).elements for s in sets[1:]))
+    if sets[0].ring.modulus is None:
+        sets = [FiniteSet(Z, s.elements) for s in sets]
+    table = correlation(mode, sets, shifts=list(grid)).table
+    return {x: c for x, c in table.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_correlation_walk_matches_the_grid(data):
+    ring = data.draw(st.sampled_from(_CORRELATION_RINGS))
+    mode = data.draw(st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+    arity = data.draw(st.integers(1, 3))
+    hi = 40 if ring.modulus is None else ring.modulus - 1
+    values = st.lists(st.integers(-hi if ring.modulus is None else 0, hi), max_size=6)
+    sets = [set(data.draw(values)) for _ in range(arity + 1)]
+    if data.draw(st.booleans()):
+        sets[data.draw(st.integers(0, arity))].add(0)
+    if data.draw(st.integers(0, 9)) == 0:
+        sets = [s | {0} for s in sets]
+    if ring.modulus is None and data.draw(st.booleans()):
+        num, den = data.draw(st.integers(-9, 9)), data.draw(st.integers(2, 5))
+        sets[data.draw(st.integers(0, arity))].add(Fraction(num, den))
+    sets = [FiniteSet.from_iterable(ring, s) for s in sets]
+    if mode == MULTIPLICATIVE and all(0 in s for s in sets):
+        with pytest.raises(ValueError):
+            correlation(mode, sets)
+        return
+    try:
+        expect = _grid_oracle(mode, sets)
+    except CapExceededError:
+        # The grid's own magnitude check: the walk makes the same one up front.
+        with pytest.raises(CapExceededError):
+            correlation(mode, sets)
+        return
+    assert correlation(mode, sets).table == expect
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=8),
@@ -560,3 +617,37 @@ def test_import_cubelab_leaves_numpy_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# |{ab : 1 <= a, b <= 2^n}| for n = 0..11, the multiplication-table counts.
+_PRODUCT_TABLE_SIZES = [1, 3, 9, 30, 97, 354, 1263, 4695, 17668, 67765, 260095, 1004977]
+
+
+def test_product_set_sizes_of_intervals():
+    for n, size in enumerate(_PRODUCT_TABLE_SIZES):
+        A = zset(*range(1, 2**n + 1))
+        assert pairwise_size(PROD, A, A) == size, n
+        if n <= 6:
+            assert len({a * b for a in A.elements for b in A.elements}) == size
+
+
+@pytest.mark.parametrize("size", [20, 200], ids=["python_route", "lane"])
+@pytest.mark.parametrize("bits", [8, 70])
+def test_power_sum_seam_counts_every_pair(python_route, size, bits):
+    # k = 1 counts every pair once, with the pairs' weights under the
+    # same-operand halving; Cauchy-Schwarz ties k = 0, 1 and 2 together.
+    # 200 x 200 pairs take the lane when numpy is installed.
+    rng = random.Random(size * bits)
+    A, B = set(), {0}
+    for X in (A, B):
+        while len(X) < size:
+            X.add(rng.randint(-(2**bits), 2**bits))
+    A, B = zset(*A), zset(*B)
+    for op in OPS:
+        for X, Y in ((A, B), (A, A), (B, B)):
+            pairs = len(X) * (len(Y) - (op == RATIO and 0 in Y))
+            s0, s1, s2 = (setops._power_sum(op, X, Y, DEFAULT_PAIR_CAP, k) for k in (0, 1, 2))
+            assert s1 == pairs, (op, X is Y)
+            assert s1 * s1 <= s0 * s2, (op, X is Y)
+    lane = HAVE_NUMPY and size * size >= _LANE_MIN_PAIRS
+    assert len(python_route) == (not lane) * len(OPS) * 3 * 3
