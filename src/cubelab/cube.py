@@ -18,7 +18,8 @@ from functools import cached_property
 from itertools import product, repeat, starmap
 from operator import mod
 
-from .numeric import _ARITH, ADDITIVE, MULTIPLICATIVE, AmbientRing, CapExceededError, _RING_SCHEMA, _check, mode_ops
+from .numeric import (_ARITH, ADDITIVE, DIFF, MULTIPLICATIVE, AmbientRing, CapExceededError, _RING_SCHEMA, _check,
+                      _check_results, _scalar_op, mode_ops)
 
 # Cap on the number of digit vectors a single enumeration may touch.
 DEFAULT_ENUM_CAP = 1 << 24
@@ -151,14 +152,13 @@ def _vector_count(spec: CubeSpec) -> int:
 def _grow(spec: CubeSpec, values: set, g: int) -> set:
     """One generator step: values together with v op c*g for every nonzero
     digit c (multiplicative cubes have the one nonzero digit 1)."""
-    op = _ARITH[mode_ops(spec.mode)[0]]
+    op = mode_ops(spec.mode)[0]
     steps = [c * g for c in spec.digits[1:]]
     p = spec.ring.modulus
-    if p is not None:
-        return values.union(map(mod, starmap(op, product(values, steps)), repeat(p)))
-    if op(max(map(abs, values)), max(map(abs, steps))) > spec.ring.magnitude_cap:
-        raise CapExceededError("cube values exceed the magnitude cap")
-    return values.union(starmap(op, product(values, steps)))
+    if p is None:
+        _check_results(spec.ring, op, max(map(abs, values)), max(map(abs, steps)))
+    new = starmap(_ARITH[op], product(values, steps))
+    return values.union(new if p is None else map(mod, new, repeat(p)))
 
 
 def _value_set(spec: CubeSpec, cap: int) -> set:
@@ -209,19 +209,15 @@ def symmetry_witness(spec: CubeSpec) -> int:
         raise ValueError("symmetry witness is defined for additive cubes")
     if not spec.has_interval_digits:
         raise ValueError("symmetry witness needs interval digits {0..h}")
-    ring = spec.ring
-    u = ring.normalize(0)
-    for g in spec.generators:
-        u = ring.add(u, ring.mul(spec.height, g))
-    return ring.add(u, ring.add(spec.a0, spec.a0))
+    return spec.ring.normalize(spec.height * sum(spec.generators) + 2 * spec.a0)
 
 
 def is_symmetric(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """Check Q == witness - Q by exhaustive reflection of the value set."""
     w = symmetry_witness(spec)
-    ring = spec.ring
+    reflect = _scalar_op(DIFF, spec.ring)
     values = _value_set(spec, cap)
-    return all(ring.sub(w, v) in values for v in values)
+    return all(reflect(w, v) in values for v in values)
 
 
 def split_balanced(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP):

@@ -1,11 +1,18 @@
 """Exact arithmetic over the two ambient structures: the integers and F_p.
 
 Elements are plain Python ints.  Prime-field elements are kept as canonical
-residues in [0, p).  Integer arithmetic is arbitrary precision but checked
-against a configurable magnitude cap, so a runaway product fails loudly
-instead of eating the machine.  Ratio sets over the integers produce
-fractions.Fraction values in lowest terms; those pass through normalize()
-untouched and are never capped.
+residues in [0, p).  Ratio sets over the integers produce fractions.Fraction
+values in lowest terms; those pass through normalize() untouched and are
+never capped.
+
+Integer arithmetic is arbitrary precision, bounded by the ring's magnitude
+cap so that a runaway product fails loudly instead of eating the machine.
+The rule: the cap bounds the values an operation builds and keeps.  It is
+checked once per operation, before any value is built, by _check_results
+from the largest operands; normalize() checks an input element.  A
+per-element op that is only tested for membership (a shift, a reflection,
+a probe) is never capped: a value past the cap cannot be a member of any
+capped set.
 """
 
 from __future__ import annotations
@@ -40,6 +47,35 @@ DEFAULT_MAGNITUDE_CAP = 1 << 512
 
 class CapExceededError(RuntimeError):
     """An enumeration, pairing, grid, or magnitude cap was exceeded."""
+
+
+def _check_results(ring: AmbientRing, op: str, ma, mb) -> int:
+    """The magnitude rule's one bound, for an operation on int operands over
+    Z whose largest magnitudes are ma and mb: raises CapExceededError before
+    any result is built if an operand or a result could pass the cap, and
+    returns the largest such magnitude (for a ratio, of an operand: a
+    reduced num and den are no larger)."""
+    worst = max(ma, mb, ma + mb if op in (SUM, DIFF) else ma * mb if op == PROD else 0)
+    if worst > ring.magnitude_cap:
+        raise CapExceededError(f"{op} results would exceed the magnitude cap")
+    return worst
+
+
+def _scalar_op(op: str, ring: AmbientRing):
+    """a op b on two elements of ring, one value at a time: plain +, - and x
+    over Z, where a ratio is a Fraction; residues over F_p, where a ratio
+    multiplies by the inverse of b.  Never capped: a caller that keeps the
+    values checks _check_results first, and a probe whose value is only
+    tested for membership needs no check."""
+    p = ring.modulus
+    if p is None:
+        return _ARITH.get(op, Fraction)
+    return {
+        SUM: lambda a, b: (a + b) % p,
+        DIFF: lambda a, b: (a - b) % p,
+        PROD: lambda a, b: a * b % p,
+        RATIO: lambda a, b: a * pow(b, -1, p) % p,
+    }[op]
 
 
 _TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string", float: "a number"}
@@ -189,40 +225,6 @@ class AmbientRing:
         if isinstance(x, Fraction):
             return x
         return self._checked(x)
-
-    def add(self, x, y):
-        if self.kind == PRIME_FIELD:
-            return (x + y) % self.modulus
-        return self._checked(x + y)
-
-    def sub(self, x, y):
-        if self.kind == PRIME_FIELD:
-            return (x - y) % self.modulus
-        return self._checked(x - y)
-
-    def mul(self, x, y):
-        if self.kind == PRIME_FIELD:
-            return (x * y) % self.modulus
-        return self._checked(x * y)
-
-    def neg(self, x):
-        if self.kind == PRIME_FIELD:
-            return (-x) % self.modulus
-        return -x
-
-    def inv(self, x):
-        """Multiplicative inverse.  Over Z only the units 1 and -1 qualify;
-        exact rationals are the job of ratio sets, not of this ring."""
-        if self.kind == PRIME_FIELD:
-            x = x % self.modulus
-            if x == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(x, -1, self.modulus)
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if x in (1, -1):
-            return x
-        raise ValueError(f"{x} is not a unit of the integers")
 
     def to_json_dict(self) -> dict:
         if self.kind == PRIME_FIELD:

@@ -45,7 +45,8 @@ from math import gcd, prod
 from operator import mod
 
 from .cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
-from .numeric import _ARITH, DIFF, INTEGERS, PROD, RATIO, SUM, AmbientRing, CapExceededError, mode_ops
+from .numeric import (_ARITH, DIFF, INTEGERS, PROD, RATIO, SUM, AmbientRing, CapExceededError, _check_results,
+                      _scalar_op, mode_ops)
 
 DEFAULT_PAIR_CAP = 1 << 26
 DEFAULT_GRID_CAP = 1 << 24
@@ -104,8 +105,7 @@ def _check_pair_cap(A: FiniteSet, B: FiniteSet, cap: int) -> None:
 
 def _check_magnitude(ring: AmbientRing, op: str, A: FiniteSet, B: FiniteSet) -> int | None:
     """One up-front bound check instead of one per pair.  Returns, for int
-    sets over Z, the largest magnitude of an operand or a result (for a
-    ratio, of an operand: a reduced num and den are no larger); None
+    sets over Z, _check_results' bound on the sorted ends of A and B; None
     elsewhere."""
     if ring.kind != INTEGERS or not A.elements or not B.elements:
         return None
@@ -113,10 +113,7 @@ def _check_magnitude(ring: AmbientRing, op: str, A: FiniteSet, B: FiniteSet) -> 
         return None
     ma = max(abs(A.elements[0]), abs(A.elements[-1]))
     mb = max(abs(B.elements[0]), abs(B.elements[-1]))
-    worst = max(ma, mb, ma + mb if op in (SUM, DIFF) else ma * mb if op == PROD else 0)
-    if worst > ring.magnitude_cap:
-        raise CapExceededError(f"{op} results would exceed the magnitude cap")
-    return worst
+    return _check_results(ring, op, ma, mb)
 
 
 def _check_pairs(op: str, A: FiniteSet, B: FiniteSet, cap: int) -> tuple[AmbientRing, int | None]:
@@ -458,26 +455,15 @@ def _convolve_counts(ring: AmbientRing, counts: dict, values: tuple, op: str, ca
 
 
 def _fold_counts(ring: AmbientRing, values: tuple, op: str, k: int, cap: int) -> dict:
-    """r_{kA}: how many k-tuples of values combine under op to each element."""
+    """r_{kA}: how many k-tuples of values combine under op to each element.
+    Each step over Z of int values checks the magnitude cap first."""
     counts = dict.fromkeys(values, 1)
+    checked = ring.kind == INTEGERS and values and all(type(v) is int for v in values)
     for _ in range(k - 1):
+        if checked:
+            _check_results(ring, op, max(map(abs, counts)), max(map(abs, values)))
         counts = _convolve_counts(ring, counts, values, op, cap)
     return counts
-
-
-def _scalar_op(op: str, ring: AmbientRing):
-    """a op b on two elements of ring: the ring's cap-checked +, - and x over
-    Z, where a ratio is a Fraction; residues over F_p, where a ratio
-    multiplies by the inverse of b."""
-    p = ring.modulus
-    if p is None:
-        return {SUM: ring.add, DIFF: ring.sub, PROD: ring.mul, RATIO: Fraction}[op]
-    return {
-        SUM: lambda a, b: (a + b) % p,
-        DIFF: lambda a, b: (a - b) % p,
-        PROD: lambda a, b: a * b % p,
-        RATIO: lambda a, b: a * pow(b, -1, p) % p,
-    }[op]
 
 
 def iterate_sum(
@@ -575,12 +561,13 @@ def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_C
     """Higher correlation of k+1 sets: sum over z of the shifted indicators.
 
     shifts: a list of k-tuples to evaluate one by one, or "all" for every
-    tuple with a nonzero count.  "all" walks the base point: each z in A_1
-    adds one to every tuple of prod_i (A_{i+1} op^-1 {z}).  It raises past
-    grid_cap tuples at one base point or entries in the table, both at most
-    the grid prod_i (A_{i+1} op^-1 A_1).  Multiplicative mode skips z = 0,
-    which has no inverse: 0 shifts to 0 only, so it would count only if 0
-    were in every set, whose support is infinite and rejected.
+    tuple with a nonzero count.  Explicit shifts are probes, never capped.
+    "all" walks the base point, after one magnitude check per later set:
+    each z in A_1 adds one to every tuple of prod_i (A_{i+1} op^-1 {z}).  It
+    raises past grid_cap tuples at one base point or entries in the table,
+    both at most the grid prod_i (A_{i+1} op^-1 A_1).  Multiplicative mode
+    skips z = 0, which has no inverse: 0 shifts to 0 only, so it would count
+    only if 0 were in every set, whose support is infinite and rejected.
     """
     op, inverse = mode_ops(mode)
     sets = list(sets)
@@ -594,7 +581,8 @@ def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_C
         members = [s._members for s in later]
         shift = _scalar_op(op, ring)
         for point in shifts:
-            point = tuple(ring.normalize(x) for x in point)
+            # A shift is a probe: reduced over F_p, never capped over Z.
+            point = tuple(point) if ring.modulus is None else tuple(map(ring.normalize, point))
             if len(point) != k:
                 raise ValueError(f"shift tuple {point} has arity {len(point)}, expected {k}")
             table[point] = _count_at(base.elements, point, members, shift)
@@ -603,8 +591,7 @@ def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_C
         raise ValueError("correlation support is not finite: 0 lies in every set")
     for s in later:
         _check_magnitude(ring, inverse, s, base)
-    # a op^-1 z as pairwise_set computes it: past the check above, uncapped.
-    undo = _ARITH.get(inverse, Fraction) if ring.modulus is None else _scalar_op(inverse, ring)
+    undo = _scalar_op(inverse, ring)
     tuples = prod(map(len, later))
     for z in base.elements:
         if inverse == RATIO and not z:

@@ -25,12 +25,16 @@ from .cube import (
     is_proper,
 )
 from .energy import energy_pair
-from .numeric import DIFF, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, mode_ops
-from .setops import DEFAULT_PAIR_CAP, _count_at, _pair_keys, _require_same_ring, _scalar_op, pairwise_set
+from .numeric import DIFF, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, _scalar_op, mode_ops
+from .setops import DEFAULT_PAIR_CAP, _count_at, _pair_keys, _require_same_ring, pairwise_set
 
 OLMEZOV_TERM_CAP = 10**9
 # olmezov_sides' side cap: 14000 bits stay under the 4300 digits Python prints.
 _OLMEZOV_SIDE_BITS = 14000
+# olmezov_sides' cap on m, whose shift tuples hold m - 1 entries.  Where a
+# set has two or more elements the side cap already bounds m by this (at
+# worst through (n - s)(m - 1) log2|D|): it binds only where no set does.
+_OLMEZOV_MAX_M = _OLMEZOV_SIDE_BITS + 1
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,8 @@ def olmezov_sides(
     ring = _require_same_ring(A, B, D)
     if mode == MULTIPLICATIVE and 0 in A:
         raise ValueError("multiplicative mode needs 0 outside A")
+    if m > _OLMEZOV_MAX_M:
+        raise CapExceededError(f"m = {m} exceeds {_OLMEZOV_MAX_M}")
     # sigma <= |A||B|, and the grid sum has at most |A|^m terms of at most |B|^n.
     la, lb, ld = (log2(max(len(X), 1)) for X in (A, B, D))
     if max(m * n * (la + lb), n * m * la + (n + s * (m - 1)) * lb + (n - s) * (m - 1) * ld) > _OLMEZOV_SIDE_BITS:

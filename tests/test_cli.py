@@ -268,6 +268,20 @@ def test_cap_exceeded_exit_3(tmp_path, capsys):
         assert code == 3 and err.startswith("cap exceeded:"), (n, err)
 
 
+def test_magnitude_cap_exit_3(tmp_path, capsys):
+    # T_3 of three 200-bit elements reaches 2^600, past the default 2^512 cap.
+    big = tmp_path / "big.txt"
+    big.write_text("".join(f"{2**200 + c}\n" for c in (1, 3, 7)))
+    code, out, err = run_cli(capsys, "energy", str(big), "--mode", "multiplicative", "--tk", "3")
+    assert code == 3 and out == "" and err.startswith("cap exceeded:"), err
+    # Singleton sets put no bit on the sides, so m itself is bounded.
+    one = tmp_path / "one.txt"
+    one.write_text("1\n")
+    argv = ["verify", "olmezov", *[str(one)] * 3, "--n", "2", "--s", "1", "--m", "100000000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("cap exceeded:"), err
+
+
 def test_check_failure_exit_1(tmp_path, monkeypatch, capsys):
     # Falsification events surface as exit 1; fake one to pin the mapping.
     import cubelab.cli as cli_mod

@@ -22,8 +22,8 @@ from cubelab.energy import (
     partition_count_by_enumeration,
     tk_closed_form,
 )
-from cubelab.numeric import AmbientRing
-from cubelab.setops import DIFF, pairwise_set
+from cubelab.numeric import AmbientRing, CapExceededError
+from cubelab.setops import DIFF, iterate_prod, pairwise_set
 
 Z = AmbientRing.integers()
 F13 = AmbientRing.prime_field(13)
@@ -88,6 +88,29 @@ def test_multiplicative_energy_routes_agree():
     report = energy_pair(MULTIPLICATIVE, A)
     assert report.value == energy_k(MULTIPLICATIVE, A, 2).value
     assert report.value == energy_tk(MULTIPLICATIVE, A, 2).value
+
+
+def test_tk_checks_the_magnitude_cap_once_per_step():
+    # 13^3 passes the cap of 1000, so T_3 raises as Q^(3) and E^x of Q^(2) do.
+    tight = AmbientRing.integers(magnitude_cap=1000)
+    A = FiniteSet.from_iterable(tight, [7, 9, 11, 13])
+    r = Counter(math.prod(t) for t in product(A.elements, repeat=2))
+    assert energy_tk(MULTIPLICATIVE, A, 2).value == sum(c * c for c in r.values())
+    for k in (3, 5):
+        with pytest.raises(CapExceededError):
+            energy_tk(MULTIPLICATIVE, A, k)
+    with pytest.raises(CapExceededError):
+        iterate_prod(A, 3)
+    with pytest.raises(CapExceededError):
+        energy_pair(MULTIPLICATIVE, iterate_prod(A, 2))
+    # The bound is the largest value itself: 10 * 100 sits on the cap.
+    ten = FiniteSet.from_iterable(tight, [-10, 10])
+    assert energy_tk(MULTIPLICATIVE, ten, 3).value == 32
+    assert energy_tk(ADDITIVE, ten, 100).value == math.comb(200, 100)
+    with pytest.raises(CapExceededError):
+        energy_tk(MULTIPLICATIVE, ten, 4)
+    with pytest.raises(CapExceededError):
+        energy_tk(ADDITIVE, ten, 101)
 
 
 def test_energy_over_prime_field():

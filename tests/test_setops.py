@@ -402,6 +402,43 @@ def test_correlation_walk_matches_the_grid(data):
     assert correlation(mode, sets).table == expect
 
 
+def test_correlation_shifts_past_the_cap_are_probes():
+    # The walk's points 40 and -40 shift -20 and 20 past the cap of 40,
+    # where no element can lie: they count as the walk counts them.
+    capped = AmbientRing.integers(magnitude_cap=40)
+    A = FiniteSet.from_iterable(capped, [-20, 20])
+    walk = correlation(ADDITIVE, [A, A]).table
+    assert walk == {(-40,): 1, (0,): 2, (40,): 1}
+    assert correlation(ADDITIVE, [A, A], shifts=list(walk)).table == walk
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_correlation_walk_points_passed_back_as_shifts(data):
+    cap = data.draw(st.sampled_from([40, 200]))
+    ring = AmbientRing.integers(magnitude_cap=cap)
+    mode = data.draw(st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+    arity = data.draw(st.integers(1, 3))
+    # Up to cap // 2 the walk's own check passes on int sets; up to cap, a
+    # Fraction switches it off, and its points may pass the cap.
+    hi = data.draw(st.sampled_from([cap // 2, cap]))
+    values = st.lists(st.integers(-hi, hi), max_size=6)
+    sets = [set(data.draw(values)) for _ in range(arity + 1)]
+    if data.draw(st.booleans()):
+        sets[data.draw(st.integers(0, arity))].add(0)
+    if data.draw(st.booleans()):
+        num, den = data.draw(st.integers(-9, 9)), data.draw(st.integers(2, 5))
+        sets[data.draw(st.integers(0, arity))].add(Fraction(num, den))
+    sets = [FiniteSet.from_iterable(ring, s) for s in sets]
+    if mode == MULTIPLICATIVE and all(0 in s for s in sets):
+        return
+    try:
+        walk = correlation(mode, sets).table
+    except CapExceededError:
+        return
+    assert correlation(mode, sets, shifts=list(walk)).table == walk
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=8),

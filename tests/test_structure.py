@@ -124,12 +124,15 @@ def test_energy_lower_requires_subset():
 def _brute_olmezov_rhs(A, B, D, n, s, m, mode):
     """Full-grid evaluation with no factorization tricks at all."""
     ring = A.ring
+    p = ring.modulus
     if mode == ADDITIVE:
-        comb = ring.add
+
+        def comb(a, b):
+            return a + b if p is None else (a + b) % p
+
         shifts_x = pairwise_set("diff", A, A)
         shifts_y = pairwise_set("diff", B, A)
     else:
-        p = ring.modulus
 
         def comb(a, b):
             return a * b if p is None else (a * b) % p
@@ -160,7 +163,7 @@ def _brute_olmezov_rhs(A, B, D, n, s, m, mode):
                 for x in xs:
                     # y - x in additive mode, y / x multiplicatively.
                     if mode == ADDITIVE:
-                        val = ring.sub(y, x)
+                        val = y - x if p is None else (y - x) % p
                     elif ring.modulus is not None:
                         val = (y * pow(x, -1, ring.modulus)) % ring.modulus
                     else:
@@ -178,6 +181,17 @@ def _brute_olmezov_rhs(A, B, D, n, s, m, mode):
     return coef * grid
 
 
+# Every set of the brute-grid tests fits this cap, while their shifts, sums
+# and products pass it: a shift is a probe, and the capped ring counts as Z.
+CAP8 = AmbientRing.integers(magnitude_cap=8)
+
+
+def _on_capped_ring(A, B, D, n, s, m, mode):
+    """olmezov_sides on copies of the sets in CAP8, as (lhs, rhs, passed)."""
+    verdict = olmezov_sides(*(FiniteSet.from_iterable(CAP8, X.elements) for X in (A, B, D)), n, s, m, mode)
+    return verdict.lhs, verdict.rhs, verdict.passed
+
+
 def test_olmezov_matches_brute_grid_additive():
     rng = random.Random(21)
     for _ in range(12):
@@ -188,6 +202,7 @@ def test_olmezov_matches_brute_grid_additive():
             verdict = olmezov_sides(A, B, D, n, s, m)
             assert verdict.rhs == _brute_olmezov_rhs(A, B, D, n, s, m, ADDITIVE)
             assert verdict.passed
+            assert _on_capped_ring(A, B, D, n, s, m, ADDITIVE) == (verdict.lhs, verdict.rhs, True)
 
 
 def test_olmezov_matches_brute_grid_multiplicative():
@@ -202,6 +217,8 @@ def test_olmezov_matches_brute_grid_multiplicative():
             verdict = olmezov_sides(A, B, D, n, s, m, mode=MULTIPLICATIVE)
             assert verdict.rhs == _brute_olmezov_rhs(A, B, D, n, s, m, MULTIPLICATIVE)
             assert verdict.passed
+            if A.ring == Z:
+                assert _on_capped_ring(A, B, D, n, s, m, MULTIPLICATIVE) == (verdict.lhs, verdict.rhs, True)
 
 
 def test_olmezov_disjoint_gives_zero_lhs():
@@ -233,12 +250,26 @@ def test_olmezov_validation():
 
 
 def test_olmezov_multiplicative_shifts_respect_the_magnitude_cap():
-    # The shift 50 takes 20 in B to 1000, past the cap of 500.
+    # The shift 50 takes 20 in B to 1000, past the cap of 500: a probe, which
+    # counts 0 there, as the brute grid does.
     capped = AmbientRing.integers(magnitude_cap=500)
     A, B, D = (FiniteSet.from_iterable(capped, v) for v in ([1, 50], [20], [1]))
-    with pytest.raises(CapExceededError):
-        olmezov_sides(A, B, D, 2, 1, 2, MULTIPLICATIVE)
+    verdict = olmezov_sides(A, B, D, 2, 1, 2, MULTIPLICATIVE)
+    assert (verdict.lhs, verdict.rhs, verdict.passed) == (0, 0, True)
+    assert verdict.rhs == _brute_olmezov_rhs(*(FiniteSet(Z, X.elements) for X in (A, B, D)), 2, 1, 2, MULTIPLICATIVE)
     assert olmezov_sides(A, B, D, 2, 1, 1, MULTIPLICATIVE).passed
+
+
+def test_olmezov_m_is_capped_for_singletons():
+    one, pair = zset(1), zset(0, 1)
+    # With D = {0, 1} the side cap already admits m up to 14001, and refuses 14002.
+    assert olmezov_sides(one, one, pair, 2, 1, 14001).passed
+    for D in (one, pair):
+        with pytest.raises(CapExceededError):
+            olmezov_sides(one, one, D, 2, 1, 14002)
+    assert olmezov_sides(one, one, one, 2, 1, 14001).passed
+    with pytest.raises(CapExceededError, match="m = 100000000 exceeds 14001"):
+        olmezov_sides(one, one, one, 2, 1, 10**8)
 
 
 # --- projection bound -------------------------------------------------------
