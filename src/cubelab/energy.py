@@ -5,11 +5,14 @@ a1 b1 = a2 b2); it equals the sum of squared representation counts of A + B
 and of A - B, and both routes are computed and compared on every call.  The
 k-energy sums r_{A-A}(x)^k, and T_k sums r_{kA}(x)^2 over the k-fold sumset.
 
-Pair energies and k-energies are power sums of representation counts, so
-they are counted by setops._power_sum, the seam that also counts sizes:
-with A is B over Z it visits half of the pairs and weighs each, and with
-numpy installed it counts large int sets on sorted int64 keys (exact
-values, residues or fingerprints) instead of a Counter of every pair.
+Pair energies, k-energies and T_2 (the pair energy of A with itself) are
+power sums of representation counts, so they are counted by
+setops._power_sum, the seam that also counts sizes: with A is B over Z it
+visits half of the pairs and weighs each, and with numpy installed it
+counts large int sets on sorted int64 keys (exact values, residues or
+fingerprints) instead of a Counter of every pair.  T_k for k >= 3 sums the
+squares of r_{kA}, folded by setops._fold_counts, on the numpy count map
+where it applies.
 
 For interval cubes with power generators b^(j-1) and b large enough, digit
 sums never interact, so T_k and E_k factor coordinate-wise into closed
@@ -26,7 +29,7 @@ from itertools import product as iter_product
 
 from .cube import ADDITIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
 from .numeric import RATIO, SUM, mode_ops
-from .setops import DEFAULT_PAIR_CAP, _fold_counts, _power_sum
+from .setops import DEFAULT_PAIR_CAP, _fold_counts, _power_sum, _square_sum
 
 BRUTE_FORCE_THRESHOLD = 10**4
 
@@ -130,11 +133,15 @@ def energy_k(mode: str, A: FiniteSet, k: int, *, cap: int = DEFAULT_PAIR_CAP) ->
 
 
 def energy_tk(mode: str, A: FiniteSet, k: int, *, cap: int = DEFAULT_PAIR_CAP) -> EnergyReport:
-    """T_k(A) = sum over x of r_{kA}(x)^2, kA the k-fold sum (product) set."""
+    """T_k(A) = sum over x of r_{kA}(x)^2, kA the k-fold sum (product) set.
+    T_2 is the pair energy, counted on the seam; k >= 3 folds r_{kA}."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    counts = _fold_counts(A.ring, A.elements, mode_ops(mode)[0], k, cap)
-    value = sum(c * c for c in counts.values())
+    op = mode_ops(mode)[0]
+    if k == 2:
+        value = _power_sum(op, A, A, cap, 2)
+    else:
+        value = _square_sum(_fold_counts(A, op, k, cap)[1])
     return EnergyReport(kind="tk", k=k, value=value, inputs=(f"A[{len(A)}]",), method="convolution")
 
 

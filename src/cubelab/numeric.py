@@ -2,17 +2,17 @@
 
 Elements are plain Python ints.  Prime-field elements are kept as canonical
 residues in [0, p).  Ratio sets over the integers produce fractions.Fraction
-values in lowest terms; those pass through normalize() untouched and are
-never capped.
+values in lowest terms; those pass through normalize() untouched.
 
 Integer arithmetic is arbitrary precision, bounded by the ring's magnitude
 cap so that a runaway product fails loudly instead of eating the machine.
-The rule: the cap bounds the values an operation builds and keeps.  It is
-checked once per operation, before any value is built, by _check_results
-from the largest operands; normalize() checks an input element.  A
-per-element op that is only tested for membership (a shift, a reflection,
-a probe) is never capped: a value past the cap cannot be a member of any
-capped set.
+The rule: the cap bounds the magnitudes of the values an operation builds
+and keeps, Fractions included.  It is checked once per operation, before
+any value is built, by _check_results from the largest operand magnitudes
+(for a ratio with a Fraction among the denominators, |a| over the smallest
+nonzero |b| stands for a); normalize() checks an input int.  A per-element
+op that is only tested for membership (a shift, a reflection, a probe) is
+never capped: a value past the cap cannot be a member of any capped set.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ class CapExceededError(RuntimeError):
     """An enumeration, pairing, grid, or magnitude cap was exceeded."""
 
 
-def _check_results(ring: AmbientRing, op: str, ma, mb) -> int:
-    """The magnitude rule's one bound, for an operation on int operands over
-    Z whose largest magnitudes are ma and mb: raises CapExceededError before
-    any result is built if an operand or a result could pass the cap, and
-    returns the largest such magnitude (for a ratio, of an operand: a
-    reduced num and den are no larger)."""
+def _check_results(ring: AmbientRing, op: str, ma, mb):
+    """The magnitude rule's one bound, for an operation over Z on operands
+    whose largest magnitudes are ma and mb (ints or Fractions): raises
+    CapExceededError before any result is built if an operand or a result
+    could pass the cap, and returns the largest such magnitude (for a ratio
+    of ints, of an operand: a reduced num and den are no larger)."""
     worst = max(ma, mb, ma + mb if op in (SUM, DIFF) else ma * mb if op == PROD else 0)
     if worst > ring.magnitude_cap:
         raise CapExceededError(f"{op} results would exceed the magnitude cap")

@@ -7,7 +7,10 @@ over F_p they are residue sets (zero denominators are always excluded).
 
 All pair arithmetic of the package runs through one kernel, _pair_keys,
 which streams a op b over the pairs: a Counter of the stream gives
-multiplicities, a set gives values.
+multiplicities, a set gives values.  A ratio over Z is keyed on its
+reduced (num, den), for rationals too: n/d over m/e is (n e, d m) reduced,
+so no Fraction is built per pair, only one per distinct value by the
+callers that need values.
 
 Sizes and energies are counted by one seam, _power_sum(op, A, B, cap, k),
 the sum over x of r(x)^k as an exact int: k = 0 is |A op B|
@@ -29,8 +32,16 @@ It counts in one of two ways:
   below 2^31 (Karp-Rabin), every pair whose key repeats being recounted
   exactly, with its weight, in Python ints or Fractions.
 
-Both give the same counts; numpy is imported only when the lane is tried,
-never by ``import cubelab``.
+Where a caller needs r(x) itself and not a power sum, the same lane keeps
+a count map, _lane_map: sorted unique int64 values with int64 counts,
+built from blocks of rows that are sorted and merged in.  It folds r_{kA}
+for energy_tk (k >= 3) and iterate_sum (_fold_counts, whose Python route
+is _convolve_counts, the oracle), and gives structure's popular sums and
+differences r_{Q+Q} and r_{Q-Q}.  It takes int sets whose results fit an
+int64 (or F_p with p < 2^31) and, for a fold, fewer than 2^62 k-tuples.
+
+Both routes give the same counts; numpy is imported only when the lane is
+tried, never by ``import cubelab``.
 """
 
 from __future__ import annotations
@@ -61,6 +72,12 @@ DEFAULT_GRID_CAP = 1 << 24
 _LANE_MIN_PAIRS = 1 << 15
 # The numpy lane builds its keys in blocks of rows of about this many pairs.
 _BLOCK_PAIRS = 1 << 20
+# The count map (_lane_map) sorts its pairs in blocks of rows of about this
+# many pairs, each merged into the map.  Folding T_3 of a d=8 power cube
+# (1.7M pairs in its last step, best of 7 on a 2-vCPU VM) took 73, 70 and
+# 79 ms with blocks of 2^14, 2^15 and 2^16 pairs: smaller blocks merge more
+# often, larger ones sort slower and hold more memory.
+_MAP_BLOCK_PAIRS = 1 << 15
 # Fingerprint moduli, the largest primes below 2^31: a product of two
 # residues fits in int64, and two residues pack into one 62-bit key.
 _FINGERPRINT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
@@ -103,16 +120,20 @@ def _check_pair_cap(A: FiniteSet, B: FiniteSet, cap: int) -> None:
         raise CapExceededError(f"{len(A)}x{len(B)} pairs exceed cap {cap}")
 
 
-def _check_magnitude(ring: AmbientRing, op: str, A: FiniteSet, B: FiniteSet) -> int | None:
-    """One up-front bound check instead of one per pair.  Returns, for int
-    sets over Z, _check_results' bound on the sorted ends of A and B; None
-    elsewhere."""
+def _check_magnitude(ring: AmbientRing, op: str, A: FiniteSet, B: FiniteSet):
+    """One up-front bound check instead of one per pair, from the largest
+    magnitudes of A and B, which sit at their sorted ends.  A ratio a/b is
+    at most |a| over the smallest nonzero |b|, which is below 1 only when B
+    holds a Fraction.  Returns _check_results' bound over Z (an int for
+    int sets), None elsewhere."""
     if ring.kind != INTEGERS or not A.elements or not B.elements:
-        return None
-    if any(isinstance(x, Fraction) for x in (A.elements[0], A.elements[-1], B.elements[0], B.elements[-1])):
         return None
     ma = max(abs(A.elements[0]), abs(A.elements[-1]))
     mb = max(abs(B.elements[0]), abs(B.elements[-1]))
+    if op == RATIO:
+        least = min((abs(b) for b in B.elements if b), default=1)
+        if least < 1:
+            ma /= least
     return _check_results(ring, op, ma, mb)
 
 
@@ -132,19 +153,19 @@ def _all_ints(*sets: FiniteSet) -> bool:
 
 
 def _reduced_keys(op: str, A: FiniteSet, B: FiniteSet) -> bool:
-    """True when ratio keys are (num, den) pairs: RATIO over Z, all ints."""
-    return op == RATIO and A.ring.kind == INTEGERS and _all_ints(A, B)
+    """True when ratio keys are (num, den) pairs: RATIO over Z."""
+    return op == RATIO and A.ring.kind == INTEGERS
 
 
 def _pair_keys(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool = False):
     """The pair kernel: a lazy stream of the keys of a op b, one per pair.
 
-    A key is the value a op b, except that a ratio over Z of int sets is
-    keyed on (num, den) in lowest terms with den > 0: a gcd and a tuple
-    cost a small part of a Fraction, so callers that need values build
-    Fractions once per distinct key.  Sets holding a Fraction key ratios
-    on Fraction(a, b).  Ratios skip zero denominators; over F_p they are
-    products with the inverses of B.
+    A key is the value a op b, except that a ratio over Z is keyed on
+    (num, den) in lowest terms with den > 0: a gcd and a tuple cost a small
+    part of a Fraction, so callers that need values build Fractions once
+    per distinct key.  For sets holding a Fraction, n/d over m/e (m > 0) is
+    keyed on (n e, d m) reduced.  Ratios skip zero denominators; over F_p
+    they are products with the inverses of B.
 
     Pairs run over A x B, or with same=True (A is B over Z) over the half
     _power_sum visits: i <= j for sum and prod, i < j for diff, and for
@@ -164,20 +185,25 @@ def _pair_keys(op: str, A: FiniteSet, B: FiniteSet, cap: int, same: bool = False
         keys = starmap(_ARITH[op], pairs)
         return keys if p is None else map(mod, keys, repeat(p))
     # Ratios run in rows (a, bs), a list of keys per row being faster than a
-    # generator step per pair; every b > 0, as (x, y) with y < 0 becomes (-x, -y).
+    # generator step per pair; every b > 0, as (x, y) with y < 0 becomes
+    # (-x, -y).  Where a set holds a Fraction, bs holds (num, den) pairs.
+    ints = _all_ints(A, B)
+    cols = list if ints else (lambda xs: [(x.numerator, x.denominator) for x in xs])
     if same:
         pos = [abs(x) for x in ea if x]
-        rows = ((a, pos[i + 1:]) for i, a in enumerate(pos))
+        bs = cols(pos)
+        rows = ((a, bs[i + 1:]) for i, a in enumerate(pos))
     else:
-        pos = [b for b in eb if b > 0]
-        neg = [-b for b in eb if b < 0]
+        pos = cols([b for b in eb if b > 0])
+        neg = cols([-b for b in eb if b < 0])
         rows = ((a, pos) for a in ea)
         if neg:
             rows = chain(rows, ((-a, neg) for a in ea))
-    if _reduced_keys(RATIO, A, B):
+    if ints:
         keys = ([(a // g, b // g) for b in bs for g in [gcd(a, b)]] for a, bs in rows)
     else:
-        keys = ([Fraction(a, b) for b in bs] for a, bs in rows)
+        keys = ([(x // g, y // g) for m, e in bs for x in [n * e] for y in [d * m] for g in [gcd(x, y)]]
+                for n, d, bs in ((a.numerator, a.denominator, bs) for a, bs in rows))
     return chain.from_iterable(keys)
 
 
@@ -240,16 +266,11 @@ def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same:
     pairs, the Python route is as fast, and takes the input.
     """
     ea, eb = A.elements, B.elements
-    if len(ea) * len(eb) < _LANE_MIN_PAIRS:
+    np = _lane_numpy(len(ea) * len(eb), A, B)
+    if np is None:
         return None
     ring, bound = _check_pairs(op, A, B, cap)
     p = ring.modulus
-    if (p is not None and p >= 1 << 31) or not _all_ints(A, B):
-        return None
-    try:
-        import numpy as np
-    except ImportError:
-        return None
     # Rows xs, columns ys, and with same the pairs j >= i + tri only, as in
     # _pair_keys.  A ratio's value keeps its sign however it is written, so
     # the lane needs no sign rows.
@@ -329,6 +350,74 @@ def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same:
     # Sums of powers overflow int64: they are taken in Python ints, over
     # the histogram of the weights, which are at most |A| + |B|.
     return power_sum + sum(c * w**k for w, c in enumerate(np.bincount(weights).tolist()) if c)
+
+
+def _lane_numpy(pairs: int, A: FiniteSet, B: FiniteSet):
+    """numpy where the lane applies: at least _LANE_MIN_PAIRS pairs, int
+    elements, Z or F_p with p < 2^31, and numpy importable; else None."""
+    p = A.ring.modulus
+    if pairs < _LANE_MIN_PAIRS or (p is not None and p >= 1 << 31) or not _all_ints(A, B):
+        return None
+    try:
+        import numpy as np
+    except ImportError:
+        return None
+    return np
+
+
+def _map_numpy(op: str, A: FiniteSet, B: FiniteSet, cap: int):
+    """numpy where the count map of A op B (sum, diff or prod) applies: the
+    lane's conditions, with every result an int64 over Z; else None."""
+    bound = _check_pairs(op, A, B, cap)[1]
+    if bound is not None and bound >= 1 << 63:
+        return None
+    return _lane_numpy(len(A) * len(B), A, B)
+
+
+def _lane_blocks(np, op: str, xs, ys, p):
+    """(i0, keys): keys[r, c] = xs[i0 + r] op ys[c] (sum, diff or prod, reduced
+    mod p over F_p) for the nonempty int64 arrays xs and ys, whose results
+    must fit an int64, in blocks of rows of about _MAP_BLOCK_PAIRS pairs."""
+    arith = {SUM: np.add, DIFF: np.subtract, PROD: np.multiply}[op]
+    step = max(1, _MAP_BLOCK_PAIRS // len(ys))
+    for i0 in range(0, len(xs), step):
+        keys = arith.outer(xs[i0:i0 + step], ys)
+        if p is not None:
+            np.remainder(keys, p, out=keys)
+        yield i0, keys
+
+
+def _lane_map(np, op: str, xs, weights, ys, p):
+    """The count map r(x) = the weight of the pairs (i, j) with xs[i] op ys[j]
+    = x, a pair weighing weights[i]: sorted unique int64 keys and their
+    int64 counts, which must not overflow.  Each block of _lane_blocks is
+    sorted into a run of unique keys.  As in a merge sort, a run is merged
+    into the one before it while it is at least half as long, so no run is
+    sorted twice and each key is merged a logarithmic number of times."""
+    runs = []
+    for i0, block in _lane_blocks(np, op, xs, ys, p):
+        order = np.argsort(block, axis=None)
+        block = block.ravel()[order]
+        # The rows of the sorted pairs, in place: temporaries made and freed
+        # block after block are what the lane adds to a process's peak RSS.
+        order //= len(ys)
+        order += i0
+        first = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
+        runs.append((block[first], np.add.reduceat(weights.take(order), first)))
+        while len(runs) > 1 and 2 * len(runs[-1][0]) >= len(runs[-2][0]):
+            runs.append(_merge_runs(np, *runs.pop(-2), *runs.pop()))
+    while len(runs) > 1:
+        runs.append(_merge_runs(np, *runs.pop(-2), *runs.pop()))
+    return runs[0]
+
+
+def _merge_runs(np, keys, counts, more, more_counts):
+    """Two runs of sorted unique keys with their counts as one, in time
+    linear in their lengths: by searchsorted and insert."""
+    at, found = _find(np, keys, more)
+    counts[at[found]] += more_counts[found]
+    new = ~found
+    return np.insert(keys, at[new], more[new]), np.insert(counts, at[new], more_counts[new])
 
 
 def _find(np, table, keys):
@@ -454,16 +543,57 @@ def _convolve_counts(ring: AmbientRing, counts: dict, values: tuple, op: str, ca
     return out
 
 
-def _fold_counts(ring: AmbientRing, values: tuple, op: str, k: int, cap: int) -> dict:
-    """r_{kA}: how many k-tuples of values combine under op to each element.
-    Each step over Z of int values checks the magnitude cap first."""
-    counts = dict.fromkeys(values, 1)
-    checked = ring.kind == INTEGERS and values and all(type(v) is int for v in values)
+def _fold_counts(A: FiniteSet, op: str, k: int, cap: int):
+    """r_{kA}: how many k-tuples of elements of A combine under op (sum or
+    prod) to each element, as (elements, counts).  Where _fold_numpy
+    applies, the steps run on the count map and give two int64 arrays,
+    elements ascending; elsewhere _convolve_counts, the oracle, gives two
+    lists.  Each step checks, over Z, the magnitude cap first, then the
+    pair cap."""
+    ring, values = A.ring, A.elements
+    top = max(map(abs, values)) if ring.kind == INTEGERS and values else None
+    np = _fold_numpy(A, op, k, top)
+    if np is None:
+        counts = dict.fromkeys(values, 1)
+        for _ in range(k - 1):
+            if top is not None:
+                _check_results(ring, op, max(map(abs, counts)), top)
+            counts = _convolve_counts(ring, counts, values, op, cap)
+        return list(counts), list(counts.values())
+    ys = np.array(values, np.int64)
+    keys, counts = ys, np.ones(len(ys), np.int64)
     for _ in range(k - 1):
-        if checked:
-            _check_results(ring, op, max(map(abs, counts)), max(map(abs, values)))
-        counts = _convolve_counts(ring, counts, values, op, cap)
-    return counts
+        if top is not None:
+            _check_results(ring, op, max(-int(keys[0]), int(keys[-1])), top)
+        if len(keys) * len(ys) > cap:
+            raise CapExceededError("convolution step exceeds the pair cap")
+        keys, counts = _lane_map(np, op, keys, counts, ys, ring.modulus)
+    return keys, counts
+
+
+def _square_sum(counts) -> int:
+    """The sum of c^2 over the counts of _fold_counts, in Python ints; an
+    int64 array is summed over its distinct counts, with no int per count."""
+    if isinstance(counts, list):
+        return sum(c * c for c in counts)
+    import numpy as np
+
+    values, times = (x.tolist() for x in np.unique(counts, return_counts=True))
+    return sum(c * c * t for c, t in zip(values, times))
+
+
+def _fold_numpy(A: FiniteSet, op: str, k: int, top):
+    """numpy where _fold_counts runs on the count map, else None: the lane's
+    conditions (_lane_numpy), with the |A|^k k-tuples, which bound every
+    step's pairs and every count, in place of the pairs; fewer than 2^62
+    of them; and over Z, where top is the largest |a|, every value of kA an
+    int64.  k < 63 keeps the powers small where |A| = 1."""
+    n = len(A)
+    if not (1 < k < 63 and n and n**k < 1 << 62):
+        return None
+    if top is not None and (k * top if op == SUM else top**k) >= 1 << 63:
+        return None
+    return _lane_numpy(n**k, A, A)
 
 
 def iterate_sum(
@@ -494,10 +624,12 @@ def iterate_sum(
     value_set = enumerate_cube(folded, cap=enum_cap)
     if not with_multiplicities:
         return value_set, None
-    counts = _fold_counts(ring, enumerate_cube(spec, cap=enum_cap).elements, SUM, k, pair_cap)
-    if set(counts) != set(value_set.elements):
+    keys, counts = _fold_counts(enumerate_cube(spec, cap=enum_cap), SUM, k, pair_cap)
+    if not isinstance(keys, list):
+        keys, counts = keys.tolist(), counts.tolist()
+    if set(keys) != set(value_set.elements):
         raise AssertionError("convolution support disagrees with direct enumeration")
-    return value_set, MultiplicityMap(ring, counts)
+    return value_set, MultiplicityMap(ring, dict(zip(keys, counts)))
 
 
 def iterate_prod(Q: FiniteSet, n: int, *, cap: int = DEFAULT_PAIR_CAP) -> FiniteSet:
@@ -603,3 +735,4 @@ def correlation(mode: str, sets, shifts="all", *, grid_cap: int = DEFAULT_GRID_C
         if len(table) > grid_cap:
             raise CapExceededError(f"correlation table of {len(table)} entries exceeds cap {grid_cap}")
     return CorrelationTable(mode=mode, arity=k, table=table)
+

@@ -26,7 +26,8 @@ from .cube import (
 )
 from .energy import energy_pair
 from .numeric import DIFF, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, _scalar_op, mode_ops
-from .setops import DEFAULT_PAIR_CAP, _count_at, _pair_keys, _require_same_ring, pairwise_set
+from .setops import (DEFAULT_PAIR_CAP, _count_at, _find, _lane_blocks, _lane_map, _map_numpy, _pair_keys,
+                     _require_same_ring, pairwise_set)
 
 OLMEZOV_TERM_CAP = 10**9
 # olmezov_sides' side cap: 14000 bits stay under the 4300 digits Python prints.
@@ -74,8 +75,13 @@ class SDDecomposition:
     threshold: float
 
     def coverage_ok(self) -> bool:
-        sums, diffs = self.sums._members, self.diffs._members
-        return all(s in sums or d in diffs for s, d in zip(*_sum_diff_streams(self.cube_set)))
+        Q = self.cube_set
+        np = _map_numpy(SUM, Q, Q, DEFAULT_PAIR_CAP)
+        if np is None:
+            sums, diffs = self.sums._members, self.diffs._members
+            return all(s in sums or d in diffs for s, d in zip(*_sum_diff_streams(Q)))
+        sums, diffs = (np.array(X.elements, np.int64) for X in (self.sums, self.diffs))
+        return all(np.all(_find(np, sums, s)[1] | _find(np, diffs, d)[1]) for s, d in _sum_diff_blocks(np, Q))
 
     def sizes_ok(self) -> bool:
         q = len(self.cube_set)
@@ -89,9 +95,16 @@ def _require_height1(spec: CubeSpec) -> None:
         raise ValueError("decomposition needs height-1 digits {0, 1}")
 
 
-def _sum_diff_counts(q_set: FiniteSet) -> tuple[Counter, Counter]:
-    """r_{Q+Q} and r_{Q-Q}."""
-    return tuple(Counter(_pair_keys(op, q_set, q_set, DEFAULT_PAIR_CAP)) for op in (SUM, DIFF))
+def _sum_diff_maps(Q: FiniteSet):
+    """(np, r_{Q+Q}, r_{Q-Q}).  Where setops' count map applies, np is numpy
+    and each r a pair of sorted int64 arrays, the values and their counts;
+    elsewhere np is None and each r a Counter of the pairs."""
+    np = _map_numpy(SUM, Q, Q, DEFAULT_PAIR_CAP)
+    if np is None:
+        return None, *(Counter(_pair_keys(op, Q, Q, DEFAULT_PAIR_CAP)) for op in (SUM, DIFF))
+    xs = np.array(Q.elements, np.int64)
+    ones = np.ones(len(xs), np.int64)
+    return np, *(_lane_map(np, op, xs, ones, xs, Q.ring.modulus) for op in (SUM, DIFF))
 
 
 def _sum_diff_streams(Q: FiniteSet):
@@ -99,17 +112,26 @@ def _sum_diff_streams(Q: FiniteSet):
     return _pair_keys(SUM, Q, Q, DEFAULT_PAIR_CAP), _pair_keys(DIFF, Q, Q, DEFAULT_PAIR_CAP)
 
 
+def _sum_diff_blocks(np, Q: FiniteSet):
+    """The same pairs on the count map's terms: (b1 + b2, b1 - b2) as two
+    int64 arrays per block of rows."""
+    xs = np.array(Q.elements, np.int64)
+    return zip(*((keys for _, keys in _lane_blocks(np, op, xs, xs, Q.ring.modulus)) for op in (SUM, DIFF)))
+
+
 def sd_decompose(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> SDDecomposition:
     _require_height1(spec)
     q_set = enumerate_cube(spec, cap=cap)
     q = len(q_set)
-    plus, minus = _sum_diff_counts(q_set)
-    popular_sums = [x for x, c in plus.items() if c * c >= q]
-    popular_diffs = [x for x, c in minus.items() if c * c >= q]
+    np, plus, minus = _sum_diff_maps(q_set)
+    if np is None:
+        popular = [sorted(x for x, c in r.items() if c * c >= q) for r in (plus, minus)]
+    else:
+        popular = [keys[counts * counts >= q].tolist() for keys, counts in (plus, minus)]
     return SDDecomposition(
         cube_set=q_set,
-        sums=FiniteSet(spec.ring, tuple(sorted(popular_sums))),
-        diffs=FiniteSet(spec.ring, tuple(sorted(popular_diffs))),
+        sums=FiniteSet(spec.ring, tuple(popular[0])),
+        diffs=FiniteSet(spec.ring, tuple(popular[1])),
         threshold=sqrt(q),
     )
 
@@ -121,9 +143,16 @@ def sd_popularity_ok(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> bool:
     if not is_proper(spec, cap=cap):
         raise ValueError("the pointwise popularity bound is stated for proper cubes")
     q_set = enumerate_cube(spec, cap=cap)
-    plus, minus = _sum_diff_counts(q_set)
-    sums, diffs = _sum_diff_streams(q_set)
-    least = min(map(add, map(plus.__getitem__, sums), map(minus.__getitem__, diffs)))
+    np, plus, minus = _sum_diff_maps(q_set)
+    if np is None:
+        sums, diffs = _sum_diff_streams(q_set)
+        least = min(map(add, map(plus.__getitem__, sums), map(minus.__getitem__, diffs)))
+    else:
+        # Every sum and difference is a value of its map.
+        least = min(
+            int((plus[1][_find(np, plus[0], s)[0]] + minus[1][_find(np, minus[0], d)[0]]).min())
+            for s, d in _sum_diff_blocks(np, q_set)
+        )
     return least * least >= 4 * len(q_set)
 
 

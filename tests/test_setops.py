@@ -1,6 +1,7 @@
 """Pairwise operations with multiplicities, iterated sums/products, and
 higher correlations, checked against brute-force recounts."""
 
+import math
 import random
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from cubelab import setops
 from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet, enumerate_cube
-from cubelab.energy import partition_count
+from cubelab.energy import energy_tk, partition_count
 from cubelab.numeric import AmbientRing, CapExceededError, mode_ops
 from cubelab.setops import (
     _FINGERPRINT_PRIMES,
@@ -419,8 +420,8 @@ def test_correlation_walk_points_passed_back_as_shifts(data):
     ring = AmbientRing.integers(magnitude_cap=cap)
     mode = data.draw(st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
     arity = data.draw(st.integers(1, 3))
-    # Up to cap // 2 the walk's own check passes on int sets; up to cap, a
-    # Fraction switches it off, and its points may pass the cap.
+    # Up to cap // 2 the walk's own check passes on int sets; up to cap it
+    # may raise, and a Fraction bounds it by its magnitude like an int.
     hi = data.draw(st.sampled_from([cap // 2, cap]))
     values = st.lists(st.integers(-hi, hi), max_size=6)
     sets = [set(data.draw(values)) for _ in range(arity + 1)]
@@ -688,3 +689,150 @@ def test_power_sum_seam_counts_every_pair(python_route, size, bits):
             assert s1 * s1 <= s0 * s2, (op, X is Y)
     lane = HAVE_NUMPY and size * size >= _LANE_MIN_PAIRS
     assert len(python_route) == (not lane) * len(OPS) * 3 * 3
+
+
+# --- the count map: folds, and ratio keys of rationals --------------------
+
+F3, F101 = AmbientRing.prime_field(3), AmbientRing.prime_field(101)
+
+
+def _convolved(A, op, k):
+    """r_{kA} by k - 1 steps of _convolve_counts, the oracle of the fold."""
+    counts = dict.fromkeys(A.elements, 1)
+    for _ in range(k - 1):
+        counts = setops._convolve_counts(A.ring, counts, A.elements, op, DEFAULT_PAIR_CAP)
+    return counts
+
+
+def _fold(A, op, k, lane_min_pairs=0, block_pairs=None, cap=DEFAULT_PAIR_CAP):
+    """_fold_counts as a dict of Python ints, with the lane threshold and the
+    count map's block size set as given; and whether the oracle's steps ran."""
+    calls = []
+    oracle = setops._convolve_counts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setops, "_LANE_MIN_PAIRS", lane_min_pairs)
+        if block_pairs is not None:
+            mp.setattr(setops, "_MAP_BLOCK_PAIRS", block_pairs)
+        mp.setattr(setops, "_convolve_counts", lambda *args: calls.append(1) or oracle(*args))
+        keys, counts = setops._fold_counts(A, op, k, cap)
+    if not isinstance(keys, list):
+        assert list(keys) == sorted(keys)
+        keys, counts = keys.tolist(), counts.tolist()
+    assert all(type(x) is int for x in keys + counts)
+    return dict(zip(keys, counts)), bool(calls)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([Z, F3, F13, F101]),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=12),
+    st.sampled_from([SUM, PROD]),
+    st.integers(1, 4),
+    st.sampled_from([None, 1, 5, 64]),
+)
+def test_fold_lane_matches_convolution(ring, xs, op, k, block_pairs):
+    # Negatives and 0 over Z, residues over F_3, F_13 and F_101; blocks of a
+    # single row up to the whole map, so that several blocks merge.
+    A = FiniteSet.from_iterable(ring, xs)
+    got, python_route = _fold(A, op, k, block_pairs=block_pairs)
+    assert got == _convolved(A, op, k)
+    assert python_route == (k > 1 and not HAVE_NUMPY)
+    mode = ADDITIVE if op == SUM else MULTIPLICATIVE
+    assert energy_tk(mode, A, k).value == sum(c * c for c in got.values())
+
+
+def test_fold_lane_from_the_threshold():
+    # 181^2 pairs fall short of _LANE_MIN_PAIRS and 182^2 reach it.
+    for n in (181, 182):
+        A = zset(*range(-90, n - 90))
+        got, python_route = _fold(A, SUM, 2, lane_min_pairs=_LANE_MIN_PAIRS)
+        assert got == _convolved(A, SUM, 2)
+        assert python_route == (n * n < _LANE_MIN_PAIRS or not HAVE_NUMPY)
+
+
+def test_fold_lane_hands_over_past_its_bounds():
+    # F_p with p >= 2^31, counts of 2^62 k-tuples and more, values past an
+    # int64: the oracle's steps run, with the same answers.
+    up = AmbientRing.prime_field(P31_UP)
+    cases = [
+        (FiniteSet.from_iterable(up, [0, 1, P31_UP - 1, 2**31, 12345]), SUM, 3),
+        (FiniteSet.from_iterable(up, [1, 2, P31_UP - 2, 2**31 + 7]), PROD, 3),
+        (zset(-10, 10), SUM, 62),
+        (zset(2**62, 2**62 - 1, -3), SUM, 2),
+        (zset(2**21, 3, -(2**21)), PROD, 3),
+    ]
+    for A, op, k in cases:
+        got, python_route = _fold(A, op, k)
+        assert python_route, (A.elements, op, k)
+        assert got == _convolved(A, op, k)
+    # Just inside the bounds the count map runs: residues mod 2^31 - 1 too.
+    P = AmbientRing.prime_field(P31)
+    for A, op, k in [(FiniteSet.from_iterable(P, [0, 1, P31 - 1, 2**30, 12345]), SUM, 3),
+                     (FiniteSet.from_iterable(P, [1, 2, P31 - 2, 2**30 + 7]), PROD, 3),
+                     (zset(-10, 10), SUM, 61), (zset(2**61, -(2**61), 1), SUM, 3), (zset(2**21 - 1, -5), PROD, 3)]:
+        got, python_route = _fold(A, op, k)
+        assert python_route == (not HAVE_NUMPY), (A.elements, op, k)
+        assert got == _convolved(A, op, k)
+    # Counts past 2^62 stay exact: the central binomial count of {-10, 10}.
+    ten = FiniteSet.from_iterable(AmbientRing.integers(magnitude_cap=1000), [-10, 10])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
+        assert energy_tk(ADDITIVE, ten, 100).value == math.comb(200, 100)
+        assert energy_tk(ADDITIVE, ten, 30).value == math.comb(60, 30)
+
+
+def test_fold_lane_keeps_the_caps():
+    # Each step checks the magnitude cap, then the pair cap, as the oracle does.
+    tight = AmbientRing.integers(magnitude_cap=1000)
+    A = FiniteSet.from_iterable(tight, [7, 9, 11, 13])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
+        assert setops._fold_counts(A, PROD, 2, DEFAULT_PAIR_CAP)
+        with pytest.raises(CapExceededError, match="magnitude"):
+            setops._fold_counts(A, PROD, 3, DEFAULT_PAIR_CAP)
+        with pytest.raises(CapExceededError, match="pair cap"):
+            setops._fold_counts(zset(*range(10)), SUM, 3, 99)
+        assert len(setops._fold_counts(zset(*range(10)), SUM, 3, 190)[0]) == 28
+
+
+_ratio_values = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    st.sampled_from([0, Fraction(0), Fraction(1, 2**40), Fraction(-(2**45), 7)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ratio_values, max_size=14), st.lists(_ratio_values, max_size=14))
+def test_ratio_keys_of_rationals_match_fractions(xs, ys):
+    # Mixed int and Fraction sets of both signs with 0, for A is B (the
+    # halved count) and A is not B: (num, den) keys against Fraction(a, b).
+    A, B = zset(*xs), zset(*ys)
+    for X, Y in ((A, B), (A, A), (B, A)):
+        expect = _brute_force_counts(RATIO, X, Y)
+        support, r = pairwise(RATIO, X, Y)
+        assert dict(r.items()) == expect
+        assert all(type(x) is Fraction for x in support.elements)
+        assert pairwise_set(RATIO, X, Y) == support
+        for k in (0, 1, 2, 3):
+            assert setops._power_sum(RATIO, X, Y, DEFAULT_PAIR_CAP, k) == sum(c**k for c in expect.values())
+
+
+def test_fractions_are_bounded_by_their_magnitudes():
+    # A set holding a Fraction is capped like an int set: by the magnitudes
+    # of its ends, and a ratio by |a| over the smallest nonzero |b|.
+    capped = AmbientRing.integers(magnitude_cap=40)
+
+    def qset(*values):
+        return FiniteSet.from_iterable(capped, values)
+
+    with pytest.raises(CapExceededError):
+        pairwise_set(SUM, qset(Fraction(1, 2), 40), qset(40))
+    with pytest.raises(CapExceededError):
+        correlation(ADDITIVE, [qset(-30, Fraction(1, 2)), qset(30)])
+    with pytest.raises(CapExceededError):
+        pairwise_size(RATIO, qset(40), qset(-1, Fraction(1, 2), 1))
+    with pytest.raises(CapExceededError):
+        pairwise_set(PROD, qset(Fraction(-39, 2), 3), qset(3))
+    assert pairwise_set(RATIO, qset(20), qset(0, Fraction(1, 2), 40)).elements == (Fraction(1, 2), 40)
+    assert pairwise_set(SUM, qset(Fraction(1, 2), 20), qset(20)).elements == (Fraction(41, 2), 40)

@@ -3,11 +3,13 @@ floor for subsets of cubes, the Hoelder chain, projection bounds for
 k-fold sumsets, and shifted intersections of ratio sets."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
 
+from cubelab import setops, structure
 from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet, enumerate_cube
 from cubelab.numeric import AmbientRing, CapExceededError
 from cubelab.setops import PROD, SUM, pairwise_set
@@ -24,6 +26,7 @@ from cubelab.structure import (
 Z = AmbientRing.integers()
 F11 = AmbientRing.prime_field(11)
 F13 = AmbientRing.prime_field(13)
+F101 = AmbientRing.prime_field(101)
 
 
 def zset(*values):
@@ -85,6 +88,53 @@ def test_sd_random_cubes():
         dec = sd_decompose(spec)
         assert dec.coverage_ok()
         assert dec.sizes_ok()
+
+
+def _sd_routes(spec):
+    """sd_decompose, coverage_ok and sd_popularity_ok (None where the cube is
+    not proper), on the count map (numpy, any size, blocks of 7 pairs so
+    that several merge) and on the Counter route."""
+    results = []
+    for lane in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
+            mp.setattr(setops, "_MAP_BLOCK_PAIRS", 7)
+            if not lane:
+                mp.setattr(structure, "_map_numpy", lambda *args: None)
+            dec = sd_decompose(spec)
+            proper = len(dec.cube_set) == 2**spec.dimension
+            results.append((dec, dec.coverage_ok(), sd_popularity_ok(spec) if proper else None))
+    return results
+
+
+@pytest.mark.parametrize("ring", [Z, F101, AmbientRing.prime_field(2**31 - 1)], ids=["Z", "F101", "F_2^31-1"])
+def test_sd_count_map_matches_counters(ring):
+    rng = random.Random(ring.modulus or 0)
+    specs = [cube([1, 4], ring=ring), cube([], a0=3, ring=ring), cube([1, 2, 3], ring=ring)]
+    hi = 2**40 if ring.modulus is None else ring.modulus - 1
+    for _ in range(12):
+        d = rng.randint(1, 7)
+        specs.append(cube([rng.randint(1, hi) for _ in range(d)], a0=rng.randint(-hi, hi), ring=ring))
+    specs.append(cube([2**61, 3, 2**60], a0=-(2**62), ring=ring))  # sums reach -2^63 over Z
+    for spec in specs:
+        lane, python = _sd_routes(spec)
+        assert lane == python, spec
+        assert lane[1]
+
+
+def test_sd_coverage_failure_on_both_routes():
+    # Without its most popular difference, 0, the pairs (b, b) are covered
+    # only if 2b is a popular sum: here it is not for b = 0.
+    spec = cube([1, 10, 100])
+    for lane in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
+            if not lane:
+                mp.setattr(structure, "_map_numpy", lambda *args: None)
+            dec = sd_decompose(spec)
+            assert dec.coverage_ok()
+            no_zero = FiniteSet(Z, tuple(x for x in dec.diffs.elements if x))
+            assert not replace(dec, diffs=no_zero).coverage_ok()
 
 
 def test_sd_rejects_higher_digits():
