@@ -785,9 +785,9 @@ def test_fold_lane_keeps_the_caps():
     # Each step checks the magnitude cap, then the pair cap, as the oracle does.
     tight = AmbientRing.integers(magnitude_cap=1000)
     A = FiniteSet.from_iterable(tight, [7, 9, 11, 13])
+    assert _fold(A, PROD, 2)[0] == _convolved(A, PROD, 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
-        assert setops._fold_counts(A, PROD, 2, DEFAULT_PAIR_CAP)
         with pytest.raises(CapExceededError, match="magnitude"):
             setops._fold_counts(A, PROD, 3, DEFAULT_PAIR_CAP)
         with pytest.raises(CapExceededError, match="pair cap"):
