@@ -338,7 +338,7 @@ def _cmd_incidence_2d(args) -> int:
                 "lines": len(lines),
                 "incidences": count,
                 "szt_rhs": rhs,
-                "ratio": count / rhs,
+                "ratio": count / rhs if rhs else None,
             }
         )
     )
@@ -363,7 +363,7 @@ def _cmd_incidence_3d(args) -> int:
                 "max_collinear": k,
                 "plane_rhs": rhs,
                 "main_term": main,
-                "ratio": count / (main + rhs),
+                "ratio": count / (main + rhs) if main + rhs else None,
             }
         )
     )

@@ -1,4 +1,12 @@
-"""Point-line and point-plane incidence counting over F_p, by brute force.
+"""Point-line and point-plane incidence counting over F_p.
+
+A point v lies on exactly one plane n . v = e of each normal n, and the line
+y = a x + b (or x = a) is the plane (-a, 1, 0) . v = b (or (1, 0, 0) . v = a)
+cut with z = 0.  So one kernel counts both: a set is grouped once, lazily, by
+normal into {e: multiplicity}, and a point costs one lookup per normal.  That
+is O(|P| k + |L|) for k normals (k <= p + 1 for lines), not O(|P| |L|), and
+nothing is sized by p.  It tests what `Line.contains` and `Plane.contains` test
+on the stored rows, duplicates and unreduced rows included; they are its oracle.
 
 Counts are exact; the bound functions evaluate the right-hand sides of the
 standard incidence theorems with the implicit constant set to 1, so callers
@@ -9,7 +17,9 @@ unknown constants a ratio above 1 falsifies nothing.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .numeric import CapExceededError, _check, _parse_json, is_prime
 
@@ -35,6 +45,12 @@ class Line:
         if self.vertical:
             return x % p == self.a % p
         return (self.a * x + self.b - y) % p == 0
+
+    def _row(self, p: int) -> tuple[tuple[int, int, int], int]:
+        """(n, e) with n . (x, y, 0) = e (mod p) exactly where `contains` holds."""
+        if self.vertical:
+            return (1, 0, 0), self.a % p
+        return (-self.a % p, 1, 0), self.b % p
 
 
 @dataclass(frozen=True)
@@ -70,24 +86,42 @@ class LineSet:
     def __len__(self) -> int:
         return len(self.lines)
 
+    @cached_property
+    def _pencil(self) -> dict:
+        return _group(line._row(self.p) for line in self.lines)
+
 
 def normalize_points_2d(p: int, points) -> tuple[tuple[int, int], ...]:
     _require_prime(p)
     return tuple(sorted({(x % p, y % p) for x, y in points}))
 
 
+def _group(rows) -> dict:
+    pencil: dict = {}
+    for normal, e in rows:
+        offsets = pencil.setdefault(normal, {})
+        offsets[e] = offsets.get(e, 0) + 1
+    return pencil
+
+
+def _through(points, pencil: dict, p: int) -> list[int]:
+    """Per point (x, y, z), the rows n . v = e of the pencil through it."""
+    normals = [(a, b, c, offsets.get) for (a, b, c), offsets in pencil.items()]
+    return [sum(get((a * x + b * y + c * z) % p, 0) for a, b, c, get in normals) for x, y, z in points]
+
+
 def incidences_per_line(points, line_set: LineSet) -> list[int]:
     p = line_set.p
-    return [sum(1 for (x, y) in points if line.contains(x, y, p)) for line in line_set.lines]
+    hits = {n: Counter((n[0] * x + n[1] * y) % p for x, y in points) for n in line_set._pencil}
+    return [hits[normal][e] for normal, e in (line._row(p) for line in line_set.lines)]
 
 
 def incidences_per_point(points, line_set: LineSet) -> list[int]:
-    p = line_set.p
-    return [sum(1 for line in line_set.lines if line.contains(x, y, p)) for (x, y) in points]
+    return _through([(x, y, 0) for x, y in points], line_set._pencil, line_set.p)
 
 
 def count_incidences_2d(points, line_set: LineSet) -> int:
-    return sum(incidences_per_line(points, line_set))
+    return sum(incidences_per_point(points, line_set))
 
 
 def szt_rhs(n_points: int, n_lines: int) -> float:
@@ -141,6 +175,11 @@ class PlaneSet:
     def __len__(self) -> int:
         return len(self.planes)
 
+    @cached_property
+    def _pencil(self) -> dict:
+        p = self.p
+        return _group(((q.a % p, q.b % p, q.c % p), q.e % p) for q in self.planes)
+
 
 def normalize_points_3d(p: int, points) -> tuple[tuple[int, int, int], ...]:
     _require_prime(p)
@@ -150,58 +189,26 @@ def normalize_points_3d(p: int, points) -> tuple[tuple[int, int, int], ...]:
 def max_collinear(points, p: int) -> int:
     """Largest number of the given points on a common line of F_p^3.
 
-    Every unordered pair is keyed by its canonical line (direction scaled
-    to leading coefficient 1, base point shifted to zero that coordinate);
-    collinear triples collide on the key.
+    Points equal mod p count once.  The later points j on a line through
+    point i are those whose directions j - i, scaled to leading coefficient
+    1, collide; each line is counted from its first point.
     """
-    pts = list(points)
-    n = len(pts)
-    if n <= 1:
-        return n
-    best = 1
-    lines: dict = {}
-    for i in range(n):
-        xi, yi, zi = pts[i]
-        for j in range(i + 1, n):
-            dx = (pts[j][0] - xi) % p
-            dy = (pts[j][1] - yi) % p
-            dz = (pts[j][2] - zi) % p
-            if dx:
-                s = pow(dx, -1, p)
-                lead = 0
-            elif dy:
-                s = pow(dy, -1, p)
-                lead = 1
-            else:
-                s = pow(dz, -1, p)
-                lead = 2
-            direction = ((dx * s) % p, (dy * s) % p, (dz * s) % p)
-            t = (xi, yi, zi)[lead]
-            base = (
-                (xi - t * direction[0]) % p,
-                (yi - t * direction[1]) % p,
-                (zi - t * direction[2]) % p,
-            )
-            key = (direction, base)
-            members = lines.get(key)
-            if members is None:
-                lines[key] = members = set()
-            members.add(i)
-            members.add(j)
-            if len(members) > best:
-                best = len(members)
+    pts = list({(x % p, y % p, z % p) for x, y, z in points})
+    best = 0
+    for i, (xi, yi, zi) in enumerate(pts):
+        directions: Counter = Counter()
+        for xj, yj, zj in pts[i + 1:]:
+            d = ((xj - xi) % p, (yj - yi) % p, (zj - zi) % p)
+            s = pow(next(t for t in d if t), -1, p)
+            directions[(d[0] * s % p, d[1] * s % p, d[2] * s % p)] += 1
+        best = max(best, 1 + max(directions.values(), default=0))
     return best
 
 
 def count_incidences_3d(points, plane_set: PlaneSet) -> tuple[int, int]:
     """(incidence count, max collinear k) for points against planes."""
     p = plane_set.p
-    count = 0
-    for plane in plane_set.planes:
-        for x, y, z in points:
-            if plane.contains(x, y, z, p):
-                count += 1
-    return count, max_collinear(points, p)
+    return sum(_through(points, plane_set._pencil, p)), max_collinear(points, p)
 
 
 def plane_rhs(n_points: int, n_planes: int, k: int) -> float:

@@ -109,6 +109,24 @@ def test_incidence_cli(tmp_path, capsys):
     assert json.loads(out)["incidences"] == 150
 
 
+@pytest.mark.parametrize(
+    "dim, instance",
+    [
+        ("2d", {"p": 5, "points": [], "lines": []}),
+        ("3d", {"p": 5, "points": [], "planes": [[1, 0, 0, 1]]}),
+        ("3d", {"p": 5, "points": [[1, 2, 3]], "planes": []}),
+    ],
+)
+def test_incidence_cli_empty_instance_has_no_ratio(tmp_path, capsys, dim, instance):
+    # Every bound shape is 0 without points or without lines, so 0 / 0 has no value.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    code, out, _ = run_cli(capsys, "incidence", dim, str(inst))
+    assert code == 0
+    result = json.loads(out)
+    assert result["incidences"] == 0 and result["ratio"] is None
+
+
 def test_campaign_cli(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubelab.incidence import (
     ALL_LINES_CAP,
     Line,
     LineSet,
+    Plane,
     PlaneSet,
     canonical_plane,
     count_incidences_2d,
@@ -189,3 +192,91 @@ def test_instance_json_round_trip_3d():
     count, k = count_incidences_3d(inst["points"], inst["planes"])
     assert count == count_incidences_3d(normalize_points_3d(p, points), planes)[0]
     assert k == max_collinear(normalize_points_3d(p, points), p)
+
+
+# The kernel against its oracle: plain contains loops over every pair.
+
+
+def _brute_2d(points, line_set):
+    p = line_set.p
+    per_line = [sum(1 for x, y in points if line.contains(x, y, p)) for line in line_set.lines]
+    per_point = [sum(1 for line in line_set.lines if line.contains(x, y, p)) for x, y in points]
+    return per_line, per_point
+
+
+def _brute_3d(points, plane_set):
+    p = plane_set.p
+    return sum(1 for q in plane_set.planes for x, y, z in points if q.contains(x, y, z, p))
+
+
+_ints = st.integers(-40, 40)
+_lines = st.lists(st.builds(Line, st.booleans(), _ints, _ints), max_size=25)
+_planes = st.lists(
+    st.builds(Plane, _ints, _ints, _ints, _ints) | st.builds(Plane, st.just(0), st.just(0), st.just(0), _ints),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    points=st.lists(st.tuples(_ints, _ints), max_size=30),
+    lines=_lines,
+    direct=st.booleans(),
+)
+def test_2d_counts_equal_contains(p, points, lines, direct):
+    # A directly built set keeps duplicate, unreduced and vertical rows with b != 0
+    # exactly as given; points stay unreduced and repeated.
+    line_set = LineSet(p, tuple(lines)) if direct or p == 2 else LineSet.from_lines(p, lines)
+    per_line, per_point = _brute_2d(points, line_set)
+    assert incidences_per_line(points, line_set) == per_line
+    assert incidences_per_point(points, line_set) == per_point
+    assert count_incidences_2d(points, line_set) == sum(per_point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    points=st.lists(st.tuples(_ints, _ints, _ints), max_size=20),
+    planes=_planes,
+)
+def test_3d_count_equals_contains(p, points, planes):
+    # Planes(0, 0, 0, e) hold every point when p | e and none otherwise.
+    plane_set = PlaneSet(p, tuple(planes))
+    assert count_incidences_3d(points, plane_set)[0] == _brute_3d(points, plane_set)
+
+
+def test_counts_at_a_huge_prime_are_not_sized_by_p():
+    p = (1 << 61) - 1
+    rng = random.Random(14)
+
+    def big():
+        return rng.randrange(-p, 2 * p)
+
+    points2 = [(big(), big()) for _ in range(20)]
+    lines = [Line(False, big(), big()) for _ in range(4)] + [Line(True, big(), big()) for _ in range(2)]
+    lines += [Line(False, 3, (points2[0][1] - 3 * points2[0][0]) % p), Line(True, points2[1][0] + p)]
+    for line_set in (LineSet(p, tuple(lines)), LineSet.from_lines(p, lines)):
+        per_line, per_point = _brute_2d(points2, line_set)
+        assert incidences_per_line(points2, line_set) == per_line
+        assert incidences_per_point(points2, line_set) == per_point
+        assert count_incidences_2d(points2, line_set) == sum(per_point) >= 2
+        assert sum(map(len, line_set._pencil.values())) <= len(line_set)
+    points3 = [(big(), big(), big()) for _ in range(10)]
+    x, y, z = points3[0]
+    rows = [(big(), big(), big(), big()) for _ in range(4)] + [(5, 7, 11, 5 * x + 7 * y + 11 * z)]
+    for plane_set in (PlaneSet(p, tuple(Plane(*r) for r in rows)), PlaneSet.from_coefficients(p, rows)):
+        count, k = count_incidences_3d(points3, plane_set)
+        assert count == _brute_3d(points3, plane_set) >= 1
+        assert k == 2
+        assert sum(map(len, plane_set._pencil.values())) <= len(plane_set)
+
+
+def test_max_collinear_counts_points_equal_mod_p_once():
+    planes = PlaneSet.from_coefficients(5, [(1, 0, 0, 1)])
+    assert count_incidences_3d([(1, 2, 3), (6, 2, 3)], planes) == (2, 1)
+    rng = random.Random(5)
+    for _ in range(20):
+        p = rng.choice([3, 5, 7])
+        pts = [(rng.randrange(-p, 2 * p), rng.randrange(-p, 2 * p), rng.randrange(-p, 2 * p)) for _ in range(12)]
+        assert max_collinear(pts, p) == _brute_max_collinear(normalize_points_3d(p, pts), p)
