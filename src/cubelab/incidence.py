@@ -4,9 +4,10 @@ A point v lies on exactly one plane n . v = e of each normal n, and the line
 y = a x + b (or x = a) is the plane (-a, 1, 0) . v = b (or (1, 0, 0) . v = a)
 cut with z = 0.  So one kernel counts both: a set is grouped once, lazily, by
 normal into {e: multiplicity}, and a point costs one lookup per normal.  That
-is O(|P| k + |L|) for k normals (k <= p + 1 for lines), not O(|P| |L|), and
-nothing is sized by p.  It tests what `Line.contains` and `Plane.contains` test
-on the stored rows, duplicates and unreduced rows included; they are its oracle.
+is O(|P| k + |L|) for k normals (k <= min(|L|, p + 1) for lines), not
+O(|P| |L|), and nothing is sized by p.  It tests what `Line.contains` and
+`Plane.contains` test on the stored rows, duplicates and unreduced rows
+included; they are its oracle.
 
 Counts are exact; the bound functions evaluate the right-hand sides of the
 standard incidence theorems with the implicit constant set to 1, so callers

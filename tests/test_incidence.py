@@ -241,7 +241,7 @@ def test_2d_counts_equal_contains(p, points, lines, direct):
     planes=_planes,
 )
 def test_3d_count_equals_contains(p, points, planes):
-    # Planes(0, 0, 0, e) hold every point when p | e and none otherwise.
+    # Plane(0, 0, 0, e) holds every point when p | e and none otherwise.
     plane_set = PlaneSet(p, tuple(planes))
     assert count_incidences_3d(points, plane_set)[0] == _brute_3d(points, plane_set)
 
