@@ -29,7 +29,7 @@ from itertools import product as iter_product
 
 from .cube import ADDITIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
 from .numeric import RATIO, SUM, mode_ops
-from .setops import DEFAULT_PAIR_CAP, _fold_counts, _power_sum, _square_sum
+from .setops import DEFAULT_PAIR_CAP, _count_power_sum, _fold_counts, _power_sum
 
 BRUTE_FORCE_THRESHOLD = 10**4
 
@@ -141,7 +141,7 @@ def energy_tk(mode: str, A: FiniteSet, k: int, *, cap: int = DEFAULT_PAIR_CAP) -
     if k == 2:
         value = _power_sum(op, A, A, cap, 2)
     else:
-        value = _square_sum(_fold_counts(A, op, k, cap)[1])
+        value = _count_power_sum(_fold_counts(A, op, k, cap)[1], 2)
     return EnergyReport(kind="tk", k=k, value=value, inputs=(f"A[{len(A)}]",), method="convolution")
 
 

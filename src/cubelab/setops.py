@@ -24,13 +24,13 @@ It counts in one of two ways:
   and the only route for small inputs, for sets holding a Fraction, for
   F_p with p >= 2^31 and when numpy is not installed;
 - the numpy lane, for int sets of at least _LANE_MIN_PAIRS pairs: int64
-  keys built block by block and sorted, each run of equal keys one value.
-  Over F_p (p < 2^31) a key is the residue itself.  Over Z it is the value
-  itself where every result fits an int64 (lane A), a ratio's reduced
-  (num, den) packed into one key where the elements are below 2^31, and
-  elsewhere a fingerprint (lane B): the value's residues mod two primes
-  below 2^31 (Karp-Rabin), every pair whose key repeats being recounted
-  exactly, with its weight, in Python ints or Fractions.
+  keys, all sorted at once, each run of equal keys one value.  Over F_p
+  (p < 2^31) a key is the residue itself.  Over Z it is the value itself
+  where every result fits an int64 (lane A), a ratio's reduced (num, den)
+  packed into one key where the elements are below 2^31, and elsewhere a
+  fingerprint (lane B): the value's residues mod two primes below 2^31
+  (Karp-Rabin), every pair whose key repeats being recounted exactly, with
+  its weight, in Python ints or Fractions.
 
 Where a caller needs r(x) itself and not a power sum, the same lane keeps
 a count map, _lane_map: sorted unique int64 values with int64 counts,
@@ -39,6 +39,10 @@ for energy_tk (k >= 3) and iterate_sum (_fold_counts, whose Python route
 is _convolve_counts, the oracle), and gives structure's popular sums and
 differences r_{Q+Q} and r_{Q-Q}.  It takes int sets whose results fit an
 int64 (or F_p with p < 2^31) and, for a fold, fewer than 2^62 k-tuples.
+
+The lane has one pair kernel, _lane_keys, and one block walk, _lane_blocks
+(blocks of rows of about _BLOCK_PAIRS pairs), shared by the power sum, the
+count map and structure's pair checks.
 
 Both routes give the same counts; numpy is imported only when the lane is
 tried, never by ``import cubelab``.
@@ -70,14 +74,12 @@ DEFAULT_GRID_CAP = 1 << 24
 # The lane's first call also imports numpy (about 0.07 s and 14 MB), which
 # calls below d=8 cannot win back; height-1 cubes up to d=7 never pay it.
 _LANE_MIN_PAIRS = 1 << 15
-# The numpy lane builds its keys in blocks of rows of about this many pairs.
-_BLOCK_PAIRS = 1 << 20
-# The count map (_lane_map) sorts its pairs in blocks of rows of about this
-# many pairs, each merged into the map.  Folding T_3 of a d=8 power cube
-# (1.7M pairs in its last step, best of 7 on a 2-vCPU VM) took 73, 70 and
-# 79 ms with blocks of 2^14, 2^15 and 2^16 pairs: smaller blocks merge more
-# often, larger ones sort slower and hold more memory.
-_MAP_BLOCK_PAIRS = 1 << 15
+# The lane's blocks of rows hold about this many pairs: the largest block at
+# which a d=11 growth trial's process peak stays at its floor (fresh process,
+# best of 7, 2-vCPU VM): 53.3 MB at 2^13-2^15 pairs, 53.8 at 2^16, 55.2 at
+# 2^17, 79.0 at 2^20 (72, 70, 70, 88 ms).  Smaller blocks merge the count map
+# more often: T_3 of a d=8 power cube took 53, 47 and 42 ms at 2^13-2^15.
+_BLOCK_PAIRS = 1 << 15
 # Fingerprint moduli, the largest primes below 2^31: a product of two
 # residues fits in int64, and two residues pack into one 62-bit key.
 _FINGERPRINT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
@@ -289,25 +291,11 @@ def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same:
     if keys_of is None:
         return None
 
-    def blocks():
-        """(i0, j0, keys, keep): keys[r, c] is the key of the pair
-        (xs[i0 + r], ys[j0 + c]); keep marks the visited pairs, or is None."""
-        step = max(1, _BLOCK_PAIRS // n_cols)
-        for i0 in range(0, n_rows, step):
-            rows = slice(i0, min(n_rows, i0 + step))
-            if tri is None:
-                yield i0, 0, keys_of(rows, slice(None)), None
-                continue
-            j0 = i0 + tri
-            keys = keys_of(rows, slice(j0, None))
-            r, c = np.indices(keys.shape, sparse=True)
-            yield i0, j0, keys, c >= r
-
     def recount(repeated) -> Counter:
         """r(x) of the values of the pairs whose key is in repeated."""
         value_of = Fraction if op == RATIO else _ARITH[op]
         values = Counter()
-        for i0, j0, keys, keep in blocks() if len(repeated) else ():
+        for i0, j0, keys, keep in _lane_blocks(np, keys_of, n_rows, n_cols, tri) if len(repeated) else ():
             hit = _find(np, repeated, keys)[1]
             if keep is not None:
                 hit &= keep
@@ -319,7 +307,7 @@ def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same:
     flat = np.empty(total, np.int64)
     diagonal = []
     at = 0
-    for _, _, keys, keep in blocks():
+    for _, _, keys, keep in _lane_blocks(np, keys_of, n_rows, n_cols, tri):
         if doubled and k:
             diagonal.append(np.diagonal(keys).copy())
         keys = keys.ravel() if keep is None else keys[keep]
@@ -347,9 +335,20 @@ def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same:
     if doubled and k:
         weights *= 2
         np.subtract.at(weights, where[repeats], 1)
-    # Sums of powers overflow int64: they are taken in Python ints, over
-    # the histogram of the weights, which are at most |A| + |B|.
-    return power_sum + sum(c * w**k for w, c in enumerate(np.bincount(weights).tolist()) if c)
+    return power_sum + _count_power_sum(weights, k)
+
+
+def _count_power_sum(counts, k: int) -> int:
+    """The sum of c^k over counts in Python ints, as c^k overflows an int64:
+    a list, or an int64 array summed over its distinct counts (np.unique),
+    with no int per count.  A fold's counts reach 2^62, too large for a
+    bincount."""
+    if isinstance(counts, list):
+        return sum(c**k for c in counts)
+    import numpy as np
+
+    values, times = (x.tolist() for x in np.unique(counts, return_counts=True))
+    return sum(c**k * t for c, t in zip(values, times))
 
 
 def _lane_numpy(pairs: int, A: FiniteSet, B: FiniteSet):
@@ -374,33 +373,85 @@ def _map_numpy(op: str, A: FiniteSet, B: FiniteSet, cap: int):
     return _lane_numpy(len(A) * len(B), A, B)
 
 
-def _lane_blocks(np, op: str, xs, ys, p):
-    """(i0, keys): keys[r, c] = xs[i0 + r] op ys[c] (sum, diff or prod, reduced
-    mod p over F_p) for the nonempty int64 arrays xs and ys, whose results
-    must fit an int64, in blocks of rows of about _MAP_BLOCK_PAIRS pairs."""
-    arith = {SUM: np.add, DIFF: np.subtract, PROD: np.multiply}[op]
-    step = max(1, _MAP_BLOCK_PAIRS // len(ys))
-    for i0 in range(0, len(xs), step):
-        keys = arith.outer(xs[i0:i0 + step], ys)
-        if p is not None:
-            np.remainder(keys, p, out=keys)
-        yield i0, keys
+def _lane_keys(np, op: str, xs, ys, p, exact: bool):
+    """keys_of(rows, cols), the int64 keys of the pairs xs[i] op ys[j] (ys
+    nonzero for ratios) over a block of rows and columns (two slices) as a
+    2-D array: the lane's one pair kernel.  When exact, a key is the value
+    itself over Z, the residue over F_p (p < 2^31, xs and ys residues), and
+    for a ratio over Z the reduced (num, den), den > 0, packed into one
+    key.  Otherwise it is a fingerprint mod two primes.  None when fewer
+    than two fingerprint primes are usable: a ratio's needs the inverse of
+    every b.
+    """
+    arith = {SUM: np.add, DIFF: np.subtract, PROD: np.multiply, RATIO: np.multiply}[op]
+
+    def outer(q, X, Y):
+        """keys_of for X[i] op Y[j], reduced mod q unless q is None."""
+        def keys_of(rows, cols):
+            keys = arith(X[rows, None], Y[cols])
+            return keys if q is None else np.remainder(keys, q, out=keys)
+
+        return keys_of
+
+    if exact and op == RATIO and p is None:
+        X, Y = np.asarray(xs, np.int64), np.asarray(ys, np.int64)
+        sign, Y = np.sign(Y), np.abs(Y)
+
+        def ratio_keys(rows, cols):
+            a, b = X[rows, None] * sign[cols], Y[cols]
+            g = np.gcd(a, b)
+            keys = a // g
+            keys *= 1 << 32
+            keys += b // g
+            return keys
+
+        return ratio_keys
+    if exact:
+        return outer(p, np.asarray(xs, np.int64),
+                     np.asarray([pow(y, -1, p) for y in ys] if op == RATIO else ys, np.int64))
+    moduli = [q for q in _FINGERPRINT_PRIMES if op != RATIO or all(y % q for y in ys)][:2]
+    if len(moduli) < 2:
+        return None
+    high, low = (
+        outer(q, np.array([x % q for x in xs], np.int64),
+                 np.array([pow(y, -1, q) if op == RATIO else y % q for y in ys], np.int64))
+        for q in moduli
+    )
+    return lambda rows, cols: high(rows, cols) << 31 | low(rows, cols)
 
 
-def _lane_map(np, op: str, xs, weights, ys, p):
-    """The count map r(x) = the weight of the pairs (i, j) with xs[i] op ys[j]
-    = x, a pair weighing weights[i]: sorted unique int64 keys and their
-    int64 counts, which must not overflow.  Each block of _lane_blocks is
-    sorted into a run of unique keys.  As in a merge sort, a run is merged
-    into the one before it while it is at least half as long, so no run is
+def _lane_blocks(np, keys_of, n_rows: int, n_cols: int, tri=None):
+    """The lane's one block walk: (i0, j0, keys, keep) over blocks of rows of
+    about _BLOCK_PAIRS pairs, keys[r, c] = keys_of's key of the pair
+    (i0 + r, j0 + c).  With tri (0 or 1) only the pairs j >= i + tri are
+    visited: j0 = i0 + tri and keep marks them; otherwise j0 = 0 and keep
+    is None."""
+    step = max(1, _BLOCK_PAIRS // n_cols)
+    for i0 in range(0, n_rows, step):
+        rows = slice(i0, min(n_rows, i0 + step))
+        if tri is None:
+            yield i0, 0, keys_of(rows, slice(None)), None
+            continue
+        j0 = i0 + tri
+        keys = keys_of(rows, slice(j0, None))
+        r, c = np.indices(keys.shape, sparse=True)
+        yield i0, j0, keys, c >= r
+
+
+def _lane_map(np, keys_of, n_rows: int, n_cols: int, weights):
+    """The count map r(x) = the weight of the pairs (i, j) whose key is x, a
+    pair weighing weights[i]: sorted unique int64 keys and their int64
+    counts, which must not overflow.  Each block of _lane_blocks is sorted
+    into a run of unique keys.  As in a merge sort, a run is merged into
+    the one before it while it is at least half as long, so no run is
     sorted twice and each key is merged a logarithmic number of times."""
     runs = []
-    for i0, block in _lane_blocks(np, op, xs, ys, p):
+    for i0, _, block, _ in _lane_blocks(np, keys_of, n_rows, n_cols):
         order = np.argsort(block, axis=None)
         block = block.ravel()[order]
         # The rows of the sorted pairs, in place: temporaries made and freed
         # block after block are what the lane adds to a process's peak RSS.
-        order //= len(ys)
+        order //= n_cols
         order += i0
         first = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
         runs.append((block[first], np.add.reduceat(weights.take(order), first)))
@@ -427,58 +478,6 @@ def _find(np, table, keys):
     if not len(table):
         return at, np.zeros(at.shape, bool)
     return at, table[np.minimum(at, len(table) - 1)] == keys
-
-
-def _lane_keys(np, op: str, xs, ys, p, exact: bool):
-    """keys_of(rows, cols), the int64 keys of the pairs xs[i] op ys[j] (ys
-    nonzero for ratios) over a block of rows and columns (two slices) as a
-    2-D array.  Over F_p a key is the residue.  Over Z, when exact, it is
-    the value itself, and for a ratio the reduced (num, den), den > 0,
-    packed into one key; otherwise it is a fingerprint mod two primes.
-    None when fewer than two fingerprint primes are usable: a ratio's needs
-    the inverse of every b.
-    """
-    arith = {SUM: np.add, DIFF: np.subtract, PROD: np.multiply, RATIO: np.multiply}[op]
-    if p is None and exact:
-        X, Y = np.array(xs, np.int64), np.array(ys, np.int64)
-        if op != RATIO:
-            return lambda rows, cols: arith(X[rows, None], Y[cols])
-        sign, Y = np.sign(Y), np.abs(Y)
-
-        def ratio_keys(rows, cols):
-            a, b = X[rows, None] * sign[cols], Y[cols]
-            g = np.gcd(a, b)
-            keys = a // g
-            keys *= 1 << 32
-            keys += b // g
-            return keys
-
-        return ratio_keys
-    if p is None:
-        moduli = [q for q in _FINGERPRINT_PRIMES if op != RATIO or all(y % q for y in ys)][:2]
-        if len(moduli) < 2:
-            return None
-    else:
-        moduli = [p]
-    residues = [
-        (q, np.array([x % q for x in xs], np.int64),
-         np.array([pow(y, -1, q) if op == RATIO else y % q for y in ys], np.int64))
-        for q in moduli
-    ]
-
-    def keys_of(rows, cols):
-        keys = None
-        for q, X, Y in residues:
-            r = arith(X[rows, None], Y[cols])
-            np.remainder(r, q, out=r)
-            if keys is None:
-                keys = r
-            else:
-                keys <<= 31
-                keys |= r
-        return keys
-
-    return keys_of
 
 
 def pairwise(op: str, A: FiniteSet, B: FiniteSet, *, cap: int = DEFAULT_PAIR_CAP):
@@ -567,19 +566,8 @@ def _fold_counts(A: FiniteSet, op: str, k: int, cap: int):
             _check_results(ring, op, max(-int(keys[0]), int(keys[-1])), top)
         if len(keys) * len(ys) > cap:
             raise CapExceededError("convolution step exceeds the pair cap")
-        keys, counts = _lane_map(np, op, keys, counts, ys, ring.modulus)
+        keys, counts = _lane_map(np, _lane_keys(np, op, keys, ys, ring.modulus, True), len(keys), len(ys), counts)
     return keys, counts
-
-
-def _square_sum(counts) -> int:
-    """The sum of c^2 over the counts of _fold_counts, in Python ints; an
-    int64 array is summed over its distinct counts, with no int per count."""
-    if isinstance(counts, list):
-        return sum(c * c for c in counts)
-    import numpy as np
-
-    values, times = (x.tolist() for x in np.unique(counts, return_counts=True))
-    return sum(c * c * t for c, t in zip(values, times))
 
 
 def _fold_numpy(A: FiniteSet, op: str, k: int, top):

@@ -26,8 +26,8 @@ from .cube import (
 )
 from .energy import energy_pair
 from .numeric import DIFF, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, _scalar_op, mode_ops
-from .setops import (DEFAULT_PAIR_CAP, _count_at, _find, _lane_blocks, _lane_map, _map_numpy, _pair_keys,
-                     _require_same_ring, pairwise_set)
+from .setops import (DEFAULT_PAIR_CAP, _count_at, _find, _lane_blocks, _lane_keys, _lane_map, _map_numpy,
+                     _pair_keys, _require_same_ring, pairwise_set)
 
 OLMEZOV_TERM_CAP = 10**9
 # olmezov_sides' side cap: 14000 bits stay under the 4300 digits Python prints.
@@ -102,9 +102,8 @@ def _sum_diff_maps(Q: FiniteSet):
     np = _map_numpy(SUM, Q, Q, DEFAULT_PAIR_CAP)
     if np is None:
         return None, *(Counter(_pair_keys(op, Q, Q, DEFAULT_PAIR_CAP)) for op in (SUM, DIFF))
-    xs = np.array(Q.elements, np.int64)
-    ones = np.ones(len(xs), np.int64)
-    return np, *(_lane_map(np, op, xs, ones, xs, Q.ring.modulus) for op in (SUM, DIFF))
+    n = len(Q)
+    return np, *(_lane_map(np, keys_of, n, n, np.ones(n, np.int64)) for keys_of in _sum_diff_keys(np, Q))
 
 
 def _sum_diff_streams(Q: FiniteSet):
@@ -112,11 +111,16 @@ def _sum_diff_streams(Q: FiniteSet):
     return _pair_keys(SUM, Q, Q, DEFAULT_PAIR_CAP), _pair_keys(DIFF, Q, Q, DEFAULT_PAIR_CAP)
 
 
+def _sum_diff_keys(np, Q: FiniteSet):
+    """setops' pair kernels of b1 + b2 and b1 - b2 over Q x Q."""
+    return [_lane_keys(np, op, Q.elements, Q.elements, Q.ring.modulus, True) for op in (SUM, DIFF)]
+
+
 def _sum_diff_blocks(np, Q: FiniteSet):
     """The same pairs on the count map's terms: (b1 + b2, b1 - b2) as two
     int64 arrays per block of rows."""
-    xs = np.array(Q.elements, np.int64)
-    return zip(*((keys for _, keys in _lane_blocks(np, op, xs, xs, Q.ring.modulus)) for op in (SUM, DIFF)))
+    n = len(Q)
+    return zip(*((keys for _, _, keys, _ in _lane_blocks(np, keys_of, n, n)) for keys_of in _sum_diff_keys(np, Q)))
 
 
 def sd_decompose(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> SDDecomposition:

@@ -476,13 +476,21 @@ def _oracle(op, A, B, k):
     return sum(c**k for c in Counter(setops._pair_keys(op, A, B, DEFAULT_PAIR_CAP)).values())
 
 
-def _lane(op, A, B, k, primes=_FINGERPRINT_PRIMES):
+def _lane(op, A, B, k, primes=_FINGERPRINT_PRIMES, block_pairs=None):
     """_power_sum on inputs of any size (the lane threshold lowered to 0),
-    with the given fingerprint primes."""
+    with the given fingerprint primes, and blocks of block_pairs pairs
+    where given."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
         mp.setattr(setops, "_FINGERPRINT_PRIMES", primes)
+        if block_pairs is not None:
+            mp.setattr(setops, "_BLOCK_PAIRS", block_pairs)
         return setops._power_sum(op, A, B, DEFAULT_PAIR_CAP, k)
+
+
+# The default block size, and blocks of 1 and 7 pairs: triangles that start
+# mid-block, and recounts of runs that span blocks.
+BLOCKS = (None, 1, 7)
 
 
 @pytest.fixture
@@ -499,13 +507,15 @@ def python_route(monkeypatch):
     return calls
 
 
-def _assert_lane_matches(A, B, primes=_FINGERPRINT_PRIMES):
+def _assert_lane_matches(A, B, primes=_FINGERPRINT_PRIMES, blocks=(None,)):
     """Every op and k in KS, on A x B and on A x A (A is A: the halved count
-    over Z).  Runs the oracle 24 times."""
+    over Z), with each block size in blocks.  Runs the oracle 24 times."""
     for op in OPS:
         for k in KS:
             for X, Y in ((A, B), (A, A)):
-                assert _lane(op, X, Y, k, primes) == _oracle(op, X, Y, k), (op, k, X, Y)
+                expect = _oracle(op, X, Y, k)
+                for block_pairs in blocks:
+                    assert _lane(op, X, Y, k, primes, block_pairs) == expect, (op, k, X, Y, block_pairs)
 
 
 _lane_ints = st.one_of(
@@ -526,15 +536,17 @@ def test_count_lane_matches_python_route(xs, ys, p, primes):
     # Sizes (k = 0) and energies (k = 2, 3) of all four ops; negatives, 0,
     # mixed-sign ratio sets, values on both sides of 2^63 (lane A against
     # fingerprints) and of 2^31 (packed ratios), and, with the tiny primes,
-    # fingerprint runs that are recounted with their pair weights.
+    # fingerprint runs that are recounted with their pair weights; in
+    # blocks of the default size, and of 1 and 7 pairs.
     ring = Z if p is None else AmbientRing.prime_field(p)
-    _assert_lane_matches(FiniteSet.from_iterable(ring, xs), FiniteSet.from_iterable(ring, ys), primes)
+    _assert_lane_matches(FiniteSet.from_iterable(ring, xs), FiniteSet.from_iterable(ring, ys), primes, BLOCKS)
 
 
 def test_tiny_fingerprint_primes_are_recounted(python_route):
     # 70-bit values: every op over Z is fingerprinted.  Mod 101 and 103 the
     # 27 x 27 sums and products share keys that are not equal values, so
-    # the count is right only because the repeated keys are recounted.
+    # the count is right only because the repeated keys are recounted, in
+    # blocks of every size in BLOCKS.
     rng = random.Random(5)
     A = zset(*(rng.randint(-(2**70), 2**70) for _ in range(27)))
     B = zset(*(b for b in (rng.randint(-(2**70), 2**70) for _ in range(30)) if b % 101 and b % 103))
@@ -545,8 +557,10 @@ def test_tiny_fingerprint_primes_are_recounted(python_route):
         for k in KS:
             for X, Y in ((A, B), (A, A)):
                 del python_route[:]
-                assert _lane(op, X, Y, k, primes=TINY_PRIMES) == _oracle(op, X, Y, k)
-                assert len(python_route) == 1 + (not HAVE_NUMPY)
+                expect = _oracle(op, X, Y, k)
+                for block_pairs in BLOCKS:
+                    assert _lane(op, X, Y, k, TINY_PRIMES, block_pairs) == expect, (op, k, block_pairs)
+                assert len(python_route) == 1 + len(BLOCKS) * (not HAVE_NUMPY)
 
 
 def _scalar_mod(op, a, b, q):
@@ -712,7 +726,7 @@ def _fold(A, op, k, lane_min_pairs=0, block_pairs=None, cap=DEFAULT_PAIR_CAP):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(setops, "_LANE_MIN_PAIRS", lane_min_pairs)
         if block_pairs is not None:
-            mp.setattr(setops, "_MAP_BLOCK_PAIRS", block_pairs)
+            mp.setattr(setops, "_BLOCK_PAIRS", block_pairs)
         mp.setattr(setops, "_convolve_counts", lambda *args: calls.append(1) or oracle(*args))
         keys, counts = setops._fold_counts(A, op, k, cap)
     if not isinstance(keys, list):

@@ -98,7 +98,7 @@ def _sd_routes(spec):
     for lane in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
-            mp.setattr(setops, "_MAP_BLOCK_PAIRS", 7)
+            mp.setattr(setops, "_BLOCK_PAIRS", 7)
             if not lane:
                 mp.setattr(structure, "_map_numpy", lambda *args: None)
             dec = sd_decompose(spec)
