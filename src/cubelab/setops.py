@@ -414,7 +414,7 @@ def _lane_keys(np, op: str, xs, ys, p, exact: bool):
         return None
     high, low = (
         outer(q, np.array([x % q for x in xs], np.int64),
-                 np.array([pow(y, -1, q) if op == RATIO else y % q for y in ys], np.int64))
+              np.array([pow(y, -1, q) if op == RATIO else y % q for y in ys], np.int64))
         for q in moduli
     )
     return lambda rows, cols: high(rows, cols) << 31 | low(rows, cols)
