@@ -28,9 +28,11 @@ It counts in one of two ways:
   (p < 2^31) a key is the residue itself.  Over Z it is the value itself
   where every result fits an int64 (lane A), a ratio's reduced (num, den)
   packed into one key where the elements are below 2^31, and elsewhere a
-  fingerprint (lane B): the value's residues mod two primes below 2^31
-  (Karp-Rabin), every pair whose key repeats being recounted exactly, with
-  its weight, in Python ints or Fractions.
+  fingerprint (lane B, Karp-Rabin): a sum or difference mod q1 q2, the CRT
+  image of its residues mod two primes below 2^31, which a product or ratio
+  packs into one key; every pair whose key repeats is recounted exactly,
+  with its weight, in Python ints or Fractions.  Sums and differences mod p
+  or q1 q2 take one add of residues and no division.
 
 Where a caller needs r(x) itself and not a power sum, the same lane keeps
 a count map, _lane_map: sorted unique int64 values with int64 counts,
@@ -80,8 +82,9 @@ _LANE_MIN_PAIRS = 1 << 15
 # 2^17, 79.0 at 2^20 (72, 70, 70, 88 ms).  Smaller blocks merge the count map
 # more often: T_3 of a d=8 power cube took 53, 47 and 42 ms at 2^13-2^15.
 _BLOCK_PAIRS = 1 << 15
-# Fingerprint moduli, the largest primes below 2^31: a product of two
-# residues fits in int64, and two residues pack into one 62-bit key.
+# Fingerprint moduli, the largest primes below 2^31.  Sums and differences
+# are keyed mod q1 q2 < 2^62, so two residues add within an int64; products
+# and ratios pack two residues, whose product fits an int64, into one key.
 _FINGERPRINT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
 
 
@@ -379,9 +382,10 @@ def _lane_keys(np, op: str, xs, ys, p, exact: bool):
     2-D array: the lane's one pair kernel.  When exact, a key is the value
     itself over Z, the residue over F_p (p < 2^31, xs and ys residues), and
     for a ratio over Z the reduced (num, den), den > 0, packed into one
-    key.  Otherwise it is a fingerprint mod two primes.  None when fewer
-    than two fingerprint primes are usable: a ratio's needs the inverse of
-    every b.
+    key.  Otherwise it is a fingerprint: (x +- y) mod q1 q2 for a sum or
+    difference, and for a product or ratio its residues mod two primes,
+    packed.  None when fewer than two fingerprint primes are usable: a
+    ratio's needs the inverse of every b.
     """
     arith = {SUM: np.add, DIFF: np.subtract, PROD: np.multiply, RATIO: np.multiply}[op]
 
@@ -406,6 +410,18 @@ def _lane_keys(np, op: str, xs, ys, p, exact: bool):
             return keys
 
         return ratio_keys
+    if op in (SUM, DIFF) and not (exact and p is None):
+        # A sum k of residues lies below 2m < 2^63: as uint64, min(k, k - m) = k mod m.
+        m = p or _FINGERPRINT_PRIMES[0] * _FINGERPRINT_PRIMES[1]
+        X, Y = ((np.asarray(vs if exact else [v % m for v in vs], np.int64) * sign % m).astype(np.uint64)
+                for vs, sign in ((xs, 1), (ys, 1 if op == SUM else -1)))
+        m = np.uint64(m)
+
+        def mod_keys(rows, cols):
+            keys = X[rows, None] + Y[cols]
+            return np.minimum(keys, keys - m, out=keys).view(np.int64)
+
+        return mod_keys
     if exact:
         return outer(p, np.asarray(xs, np.int64),
                      np.asarray([pow(y, -1, p) for y in ys] if op == RATIO else ys, np.int64))

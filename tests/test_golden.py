@@ -44,7 +44,8 @@ def golden_counts(inputs: dict) -> dict:
     folds = []
     for op, a, k in inputs["folds"]:
         keys, counts = setops._fold_counts(sets[a], op, k, DEFAULT_PAIR_CAP)
-        folds.append([op, a, k, sorted(([x, c] for x, c in zip(_strs(keys), _strs(counts))), key=lambda xc: int(xc[0]))])
+        pairs = sorted(zip(map(int, keys), map(int, counts)))
+        folds.append([op, a, k, [[str(x), str(c)] for x, c in pairs]])
     sd = []
     for name, c in inputs["cubes"].items():
         spec = CubeSpec(_ring(c["p"]), int(c["a0"]), tuple(map(int, c["generators"])), (0, 1), ADDITIVE)

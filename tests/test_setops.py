@@ -605,6 +605,54 @@ def test_prime_field_edge(python_route):
         assert len(python_route) == 24 * (1 + (p >= 2**31 or not HAVE_NUMPY))
 
 
+def _kernel_keys(op, xs, ys, p, exact, rows=slice(None), cols=slice(None)):
+    """The lane kernel's int64 keys of xs[rows] op ys[cols], as lists."""
+    import numpy as np
+
+    keys = setops._lane_keys(np, op, xs, ys, p, exact)(rows, cols)
+    assert keys.dtype == np.int64
+    return keys.tolist()
+
+
+_NEEDS_NUMPY = pytest.mark.skipif(not HAVE_NUMPY, reason="the lane kernel needs numpy")
+
+
+@_NEEDS_NUMPY
+@pytest.mark.parametrize("p", [3, 7, 101, P31])
+def test_lane_keys_of_sums_and_differences_mod_p(p):
+    # Residues 0 and p - 1 on both sides: sums reach 2p - 2, past 2^31 for
+    # P31, and each must come back as (x +- y) mod p, on a sub-block too.
+    rng = random.Random(p)
+    xs = sorted({0, 1, p - 1, *(rng.randrange(p) for _ in range(30))})
+    ys = sorted({0, p - 2, p - 1, *(rng.randrange(p) for _ in range(30))})
+    for op, sign in ((SUM, 1), (DIFF, -1)):
+        expect = [[(x + sign * y) % p for y in ys] for x in xs]
+        assert _kernel_keys(op, xs, ys, p, True) == expect, op
+        assert _kernel_keys(op, xs, ys, p, True, slice(1, 3), slice(2, None)) == [r[2:] for r in expect[1:3]], op
+
+
+@_NEEDS_NUMPY
+@pytest.mark.parametrize("primes", [_FINGERPRINT_PRIMES, TINY_PRIMES], ids=["primes", "tiny_primes"])
+def test_lane_fingerprints_of_sums_and_differences(monkeypatch, primes):
+    # Values past +-2^63, negatives, sums that repeat, and values that differ
+    # by multiples of q1 q2: two pairs share a key exactly when their values
+    # share (v mod q1, v mod q2).  (m - 1) + 5 and 4 + 0 agree only once
+    # the sum is reduced.
+    monkeypatch.setattr(setops, "_FINGERPRINT_PRIMES", primes)
+    q1, q2 = primes[:2]
+    m = q1 * q2
+    rng = random.Random(q1)
+    xs = [0, 4, m - 1, -1, 2**63, -(2**63) - 7, 2**64 + 1, m * 2**70 + 4, *(2**70 + 3 * i for i in range(10)),
+          *(rng.randint(-(2**70), 2**70) for _ in range(20))]
+    ys = [0, 5, 1 - m, 2**63 - 1, -(2**65), m * 2**66, *(5 * j for j in range(10)),
+          *(rng.randint(-(2**70), 2**70) for _ in range(20))]
+    for op, sign in ((SUM, 1), (DIFF, -1)):
+        keys = [key for row in _kernel_keys(op, xs, ys, None, False) for key in row]
+        prints = [((x + sign * y) % q1, (x + sign * y) % q2) for x in xs for y in ys]
+        assert len(set(keys)) < len(keys), op
+        assert len(set(zip(keys, prints))) == len(set(keys)) == len(set(prints)), op
+
+
 def test_colliding_big_ints_are_handed_over(python_route):
     # Sums of an arithmetic progression: most pairs share their value, so
     # most keys repeat and the Python route takes the input.
