@@ -69,6 +69,8 @@ def _brute_pair_energy(mode: str, A: FiniteSet, B: FiniteSet) -> int:
     # divmod floors on Fractions, and with a Fraction in B even a quotient of
     # two ints may lie in B, so such sets divide exactly.
     exact = any(isinstance(v, Fraction) for v in A.elements + B.elements)
+    # Over F_p each nonzero a2 is inverted once, not once per (a1, b1).
+    inverses = {a2: pow(a2, -1, p) for a2 in A.elements if a2} if p is not None else {}
     for a1 in A.elements:
         for b1 in B.elements:
             x = a1 * b1 if p is None else (a1 * b1) % p
@@ -82,7 +84,7 @@ def _brute_pair_energy(mode: str, A: FiniteSet, B: FiniteSet) -> int:
                     if r == 0 and q in B:
                         total += 1
                 else:
-                    if (x * pow(a2, -1, p)) % p in B:
+                    if (x * inverses[a2]) % p in B:
                         total += 1
     return total
 

@@ -42,9 +42,9 @@ is _convolve_counts, the oracle), and gives structure's popular sums and
 differences r_{Q+Q} and r_{Q-Q}.  It takes int sets whose results fit an
 int64 (or F_p with p < 2^31) and, for a fold, fewer than 2^62 k-tuples.
 
-The lane has one pair kernel, _lane_keys, and one block walk, _lane_blocks
-(blocks of rows of about _BLOCK_PAIRS pairs), shared by the power sum, the
-count map and structure's pair checks.
+The lane has one gate, _lane_numpy, one pair kernel, _lane_keys, and one
+block walk, _lane_blocks (blocks of rows of about _BLOCK_PAIRS pairs),
+shared by the power sum, the fold and structure's count map and checks.
 
 Both routes give the same counts; numpy is imported only when the lane is
 tried, never by ``import cubelab``.
@@ -260,9 +260,9 @@ def _python_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, sam
 
 def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same: bool) -> int | None:
     """_power_sum over the pairs it visits, on numpy keys (see the module
-    docstring): int elements, Z or F_p with p < 2^31, at least
-    _LANE_MIN_PAIRS pairs in A x B, and numpy importable.  None where the
-    lane does not apply, or hands the input back.
+    docstring), where _lane_numpy opens the lane to the pairs of A x B,
+    with no bound on the values: lane B fingerprints big ones.  None where
+    the lane does not apply, or hands the input back.
 
     The keys are sorted; a run of equal keys is one value, whose r is the
     run's length, or its weight with a diagonal when sum or prod visit
@@ -271,7 +271,7 @@ def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same:
     pairs, the Python route is as fast, and takes the input.
     """
     ea, eb = A.elements, B.elements
-    np = _lane_numpy(len(ea) * len(eb), A, B)
+    np = _lane_numpy(A, B, len(ea) * len(eb))
     if np is None:
         return None
     ring, bound = _check_pairs(op, A, B, cap)
@@ -354,26 +354,19 @@ def _count_power_sum(counts, k: int) -> int:
     return sum(c**k * t for c, t in zip(values, times))
 
 
-def _lane_numpy(pairs: int, A: FiniteSet, B: FiniteSet):
-    """numpy where the lane applies: at least _LANE_MIN_PAIRS pairs, int
-    elements, Z or F_p with p < 2^31, and numpy importable; else None."""
+def _lane_numpy(A: FiniteSet, B: FiniteSet, pairs: int, top=None):
+    """The lane's one gate: numpy where the lane runs, else None.  It needs
+    at least _LANE_MIN_PAIRS pairs, int elements, Z or F_p with p < 2^31,
+    every |value| below 2^63 where top bounds them, and numpy importable."""
     p = A.ring.modulus
-    if pairs < _LANE_MIN_PAIRS or (p is not None and p >= 1 << 31) or not _all_ints(A, B):
+    if (pairs < _LANE_MIN_PAIRS or (p is not None and p >= 1 << 31) or (top is not None and top >= 1 << 63)
+            or not _all_ints(A, B)):
         return None
     try:
         import numpy as np
     except ImportError:
         return None
     return np
-
-
-def _map_numpy(op: str, A: FiniteSet, B: FiniteSet, cap: int):
-    """numpy where the count map of A op B (sum, diff or prod) applies: the
-    lane's conditions, with every result an int64 over Z; else None."""
-    bound = _check_pairs(op, A, B, cap)[1]
-    if bound is not None and bound >= 1 << 63:
-        return None
-    return _lane_numpy(len(A) * len(B), A, B)
 
 
 def _lane_keys(np, op: str, xs, ys, p, exact: bool):
@@ -560,14 +553,19 @@ def _convolve_counts(ring: AmbientRing, counts: dict, values: tuple, op: str, ca
 
 def _fold_counts(A: FiniteSet, op: str, k: int, cap: int):
     """r_{kA}: how many k-tuples of elements of A combine under op (sum or
-    prod) to each element, as (elements, counts).  Where _fold_numpy
-    applies, the steps run on the count map and give two int64 arrays,
-    elements ascending; elsewhere _convolve_counts, the oracle, gives two
-    lists.  Each step checks, over Z, the magnitude cap first, then the
-    pair cap."""
+    prod) to each element, as (elements, counts).  The steps run on the
+    count map where the lane opens to the |A|^k k-tuples, which bound every
+    step's pairs and counts (fewer than 2^62 of them; 1 < k < 63 keeps the
+    powers small where |A| = 1), and over Z to the largest |value| of kA:
+    two int64 arrays, elements ascending.  Elsewhere _convolve_counts, the
+    oracle, gives two lists.  Each step checks, over Z, the magnitude cap
+    first, then the pair cap."""
     ring, values = A.ring, A.elements
     top = max(map(abs, values)) if ring.kind == INTEGERS and values else None
-    np = _fold_numpy(A, op, k, top)
+    tuples = len(values) ** k if 1 < k < 63 else 0
+    np = None
+    if 0 < tuples < 1 << 62:
+        np = _lane_numpy(A, A, tuples, None if top is None else k * top if op == SUM else top**k)
     if np is None:
         counts = dict.fromkeys(values, 1)
         for _ in range(k - 1):
@@ -584,20 +582,6 @@ def _fold_counts(A: FiniteSet, op: str, k: int, cap: int):
             raise CapExceededError("convolution step exceeds the pair cap")
         keys, counts = _lane_map(np, _lane_keys(np, op, keys, ys, ring.modulus, True), len(keys), len(ys), counts)
     return keys, counts
-
-
-def _fold_numpy(A: FiniteSet, op: str, k: int, top):
-    """numpy where _fold_counts runs on the count map, else None: the lane's
-    conditions (_lane_numpy), with the |A|^k k-tuples, which bound every
-    step's pairs and every count, in place of the pairs; fewer than 2^62
-    of them; and over Z, where top is the largest |a|, every value of kA an
-    int64.  k < 63 keeps the powers small where |A| = 1."""
-    n = len(A)
-    if not (1 < k < 63 and n and n**k < 1 << 62):
-        return None
-    if top is not None and (k * top if op == SUM else top**k) >= 1 << 63:
-        return None
-    return _lane_numpy(n**k, A, A)
 
 
 def iterate_sum(

@@ -26,8 +26,8 @@ from .cube import (
 )
 from .energy import energy_pair
 from .numeric import DIFF, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, _scalar_op, mode_ops
-from .setops import (DEFAULT_PAIR_CAP, _count_at, _find, _lane_blocks, _lane_keys, _lane_map, _map_numpy,
-                     _pair_keys, _require_same_ring, pairwise_set)
+from .setops import (DEFAULT_PAIR_CAP, _check_pairs, _count_at, _find, _lane_blocks, _lane_keys, _lane_map,
+                     _lane_numpy, _pair_keys, _require_same_ring, pairwise_set)
 
 OLMEZOV_TERM_CAP = 10**9
 # olmezov_sides' side cap: 14000 bits stay under the 4300 digits Python prints.
@@ -76,7 +76,7 @@ class SDDecomposition:
 
     def coverage_ok(self) -> bool:
         Q = self.cube_set
-        np = _map_numpy(SUM, Q, Q, DEFAULT_PAIR_CAP)
+        np = _lane_numpy(Q, Q, len(Q) ** 2, _check_pairs(SUM, Q, Q, DEFAULT_PAIR_CAP)[1])
         if np is None:
             sums, diffs = self.sums._members, self.diffs._members
             return all(s in sums or d in diffs for s, d in zip(*_sum_diff_streams(Q)))
@@ -99,7 +99,7 @@ def _sum_diff_maps(Q: FiniteSet):
     """(np, r_{Q+Q}, r_{Q-Q}).  Where setops' count map applies, np is numpy
     and each r a pair of sorted int64 arrays, the values and their counts;
     elsewhere np is None and each r a Counter of the pairs."""
-    np = _map_numpy(SUM, Q, Q, DEFAULT_PAIR_CAP)
+    np = _lane_numpy(Q, Q, len(Q) ** 2, _check_pairs(SUM, Q, Q, DEFAULT_PAIR_CAP)[1])
     if np is None:
         return None, *(Counter(_pair_keys(op, Q, Q, DEFAULT_PAIR_CAP)) for op in (SUM, DIFF))
     n = len(Q)

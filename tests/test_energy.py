@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import add, mul
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet
 from cubelab.energy import (
+    _brute_pair_energy,
     cube_energy_bounds,
     ek_closed_form,
     energy_k,
@@ -114,10 +116,19 @@ def test_tk_checks_the_magnitude_cap_once_per_step():
 
 
 def test_energy_over_prime_field():
-    A = FiniteSet.from_iterable(F13, [1, 2, 3, 5, 8])
-    B = FiniteSet.from_iterable(F13, [0, 4, 7])
-    assert energy_pair(ADDITIVE, A, B).value >= len(A) * len(B)
-    assert energy_pair(MULTIPLICATIVE, A, B).value >= len(A) * len(B)
+    # The brute-force oracle in both modes, against a sum of squares of
+    # Counter(a op b mod p), with 0 in neither set, in A, in B and in both:
+    # a1 b1 = 0 b2 holds for every b2 when a1 b1 = 0.
+    for ring, xs, ys in ((F13, [1, 2, 3, 5, 8], [4, 7, 11]), (F101, [3, 17, 42, 64, 99, 100], [2, 5, 50, 77, 81])):
+        p = ring.modulus
+        for zero_in_a, zero_in_b in product((False, True), repeat=2):
+            A = FiniteSet.from_iterable(ring, [0] * zero_in_a + xs)
+            B = FiniteSet.from_iterable(ring, [0] * zero_in_b + ys)
+            for mode, op in ((ADDITIVE, add), (MULTIPLICATIVE, mul)):
+                r = Counter(op(a, b) % p for a in A.elements for b in B.elements)
+                expect = sum(c * c for c in r.values())
+                assert _brute_pair_energy(mode, A, B) == expect, (p, mode, A.elements, B.elements)
+                assert energy_pair(mode, A, B).value == expect
 
 
 def test_multiplicative_tk_over_prime_field_counts_k_tuples():

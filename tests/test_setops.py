@@ -712,6 +712,28 @@ def test_sizes_without_numpy(monkeypatch):
     assert [pairwise_size(op, Q, Q) for Q in cubes for op in OPS] == sizes
 
 
+@_NEEDS_NUMPY
+def test_lane_gate_at_each_edge(monkeypatch):
+    # The one gate of the lane opens on one side of each edge and not on the
+    # other: the pairs, the modulus, the bound on the values, a Fraction in
+    # either set, and numpy itself.
+    import numpy as np
+
+    gate = setops._lane_numpy
+    A = zset(1, 2, 3)
+    assert gate(A, A, _LANE_MIN_PAIRS) is np
+    assert gate(A, A, _LANE_MIN_PAIRS - 1) is None
+    for p, expect in ((P31, np), (P31_UP, None)):
+        F = FiniteSet.from_iterable(AmbientRing.prime_field(p), [1, 2, 3])
+        assert gate(F, F, _LANE_MIN_PAIRS) is expect, p
+    assert gate(A, A, _LANE_MIN_PAIRS, 2**63 - 1) is np
+    assert gate(A, A, _LANE_MIN_PAIRS, 2**63) is None
+    half = zset(1, Fraction(1, 2))
+    assert gate(half, A, _LANE_MIN_PAIRS) is gate(A, half, _LANE_MIN_PAIRS) is None
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert gate(A, A, _LANE_MIN_PAIRS) is None
+
+
 def test_import_cubelab_leaves_numpy_out():
     code = "import sys, cubelab; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
