@@ -40,7 +40,7 @@ class EnergyReport:
     k: int
     value: int
     inputs: tuple[str, ...]
-    method: str  # convolution | brute_force
+    method: str  # always convolution; the brute-force pass only cross-checks
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,9 +16,11 @@ Sizes and energies are counted by one seam, _power_sum(op, A, B, cap, k),
 the sum over x of r(x)^k as an exact int: k = 0 is |A op B|
 (pairwise_size), k = 2 the pair energy and k > 2 the k-energy (energy_pair
 and energy_k).  When A is B over Z it visits half of the pairs, by
-commutativity and reflection, and weighs them: an off-diagonal sum or
-product stands for two pairs, a difference or ratio for its mirror image.
-It counts in one of two ways:
+commutativity and reflection.  Either route below counts each visited
+pair once; _power_sum alone turns the visited counts c(x) into r(x): for
+a sum or product r = 2c - d, d the number of diagonal pairs a op a = x,
+and a difference or ratio stands for its mirror image too.  It counts in
+one of two ways:
 
 - the Python route, a Counter (a set for k = 0) of _pair_keys: the oracle,
   and the only route for small inputs, for sets holding a Fraction, for
@@ -31,14 +33,15 @@ It counts in one of two ways:
   fingerprint (lane B, Karp-Rabin): a sum or difference mod q1 q2, the CRT
   image of its residues mod two primes below 2^31, which a product or ratio
   packs into one key; every pair whose key repeats is recounted exactly,
-  with its weight, in Python ints or Fractions.  Sums and differences mod p
-  or q1 q2 take one add of residues and no division.
+  in Python ints or Fractions.  Sums and differences mod p or q1 q2 take
+  one add of residues and no division.
 
 Where a caller needs r(x) itself and not a power sum, the same lane keeps
 a count map, _lane_map: sorted unique int64 values with int64 counts,
 built from blocks of rows that are sorted and merged in.  It folds r_{kA}
-for energy_tk (k >= 3) and iterate_sum (_fold_counts, whose Python route
-is _convolve_counts, the oracle), and gives structure's popular sums and
+for energy_tk (k >= 3) and iterate_sum: _fold_counts has one step loop,
+each step either the count map or _convolve_counts, the oracle, and both
+give the keys ascending.  It also gives structure's popular sums and
 differences r_{Q+Q} and r_{Q-Q}.  It takes int sets whose results fit an
 int64 (or F_p with p < 2^31) and, for a fold, fewer than 2^62 k-tuples.
 
@@ -216,9 +219,10 @@ def _power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int) -> int:
     """The counting seam: sum over x in A op B of r(x)^k as an exact int,
     r(x) = #{(a, b) : a op b = x}; k = 0 gives |A op B|.
 
-    A is B over Z visits half of the pairs.  Sum and prod commute: they
-    visit i <= j, where a pair off the diagonal stands for two.  Diff
-    visits i < j, whose differences are all negative: r(-x) = r(x) and
+    A is B over Z visits half of the pairs, and only here are the visited
+    counts c(x) turned into r(x).  Sum and prod commute: they visit i <= j,
+    so r(x) = 2 c(x) - d(x), d(x) the number of diagonal pairs a op a = x.
+    Diff visits i < j, whose differences are all negative: r(-x) = r(x) and
     r(0) = |A|.  When the nonzero elements share a sign, ratio visits the
     ratios i < j of their absolute values, which lie on one side of 1:
     the reciprocals have the same counts, r(1) is the number n of nonzero
@@ -226,49 +230,46 @@ def _power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int) -> int:
     signs visit all of A x A.
 
     The visited pairs are counted on numpy keys where _lane_power_sum
-    applies, and by a Counter (a set for k = 0) of _pair_keys otherwise.
+    applies, and by a Counter (a set for k = 0) of _pair_keys otherwise:
+    each returns the sum of c(x)^k and c(x) of the diagonal values given.
     """
     ea = A.elements
     same = A is B and A.ring.kind == INTEGERS and not (op == RATIO and ea and ea[0] < 0 < ea[-1])
-    half = _lane_power_sum(op, A, B, cap, k, same)
-    if half is None:
-        half = _python_power_sum(op, A, B, cap, k, same)
+    # Sizes need no d(x): every value visited is one value of A op A.
+    diagonal = Counter(map(_ARITH[op], ea, ea)) if same and k and op in (SUM, PROD) else {}
+    power_sum, visited = (_lane_power_sum(op, A, B, cap, k, same, list(diagonal))
+                          or _python_power_sum(op, A, B, cap, k, same, list(diagonal)))
+    if diagonal:
+        # Each (2c)^k of a diagonal value becomes (2c - d)^k.
+        return (power_sum << k) + sum((2 * c - d) ** k - (2 * c) ** k for c, d in zip(visited, diagonal.values()))
     if not same or op in (SUM, PROD):
-        return half
+        return power_sum
     zero = op == RATIO and 0 in A
     n = len(ea) - zero
-    return 2 * half + (n**k if n else 0) * (1 + zero)
+    return 2 * power_sum + (n**k if n else 0) * (1 + zero)
 
 
-def _python_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same: bool) -> int:
-    """The oracle route of _power_sum over the pairs it visits, which for
-    k = 0 needs only the set of keys."""
+def _python_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same: bool, diagonal: list):
+    """The oracle route of _power_sum over the pairs it visits: (sum of
+    c(x)^k, c(x) of each diagonal value); k = 0 needs only a set of keys."""
     keys = _pair_keys(op, A, B, cap, same)
     if not k:
-        return len(set(keys))
+        return len(set(keys)), []
     counts = Counter(keys)
-    power_sum = sum(c**k for c in counts.values())
-    if not (same and op in (SUM, PROD)):
-        return power_sum
-    # r(x) = 2 c(x) - (the diagonal pairs among the c(x) visited ones).
-    power_sum <<= k
-    for x, d in Counter(map(_ARITH[op], A.elements, A.elements)).items():
-        c = counts[x]
-        power_sum += (2 * c - d) ** k - (2 * c) ** k
-    return power_sum
+    return sum(c**k for c in counts.values()), [counts[x] for x in diagonal]
 
 
-def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same: bool) -> int | None:
-    """_power_sum over the pairs it visits, on numpy keys (see the module
-    docstring), where _lane_numpy opens the lane to the pairs of A x B,
-    with no bound on the values: lane B fingerprints big ones.  None where
-    the lane does not apply, or hands the input back.
+def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same: bool, diagonal: list):
+    """_power_sum's route on numpy keys (see the module docstring) over the
+    pairs it visits, one count per pair: (sum of c(x)^k, the c(x) of each
+    diagonal value), where _lane_numpy opens the lane to the pairs of
+    A x B, with no bound on the values: lane B fingerprints big ones.  None
+    where the lane does not apply, or hands the input back.
 
-    The keys are sorted; a run of equal keys is one value, whose r is the
-    run's length, or its weight with a diagonal when sum or prod visit
-    i <= j.  Fingerprint runs longer than one pair are recounted exactly
-    with Python ints or Fractions; when they hold more than half of the
-    pairs, the Python route is as fast, and takes the input.
+    The keys are sorted; a run of equal keys is one value, whose c is the
+    run's length.  Fingerprint runs longer than one pair are recounted
+    exactly with Python ints or Fractions; when they hold more than half of
+    the pairs, the Python route is as fast, and takes the input.
     """
     ea, eb = A.elements, B.elements
     np = _lane_numpy(A, B, len(ea) * len(eb))
@@ -284,42 +285,35 @@ def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same:
     else:
         xs, ys = ea, [y for y in eb if y] if op == RATIO else eb
     tri = (op in (DIFF, RATIO)) if same else None
-    doubled = same and op in (SUM, PROD)
     n_rows, n_cols = len(xs), len(ys)
     total = n_rows * n_cols if tri is None else n_rows * (n_rows + 1 - 2 * tri) // 2
     if not total:
-        return 0
+        return 0, []
     exact = p is not None or bound < (1 << 31 if op == RATIO else 1 << 63)
     keys_of = _lane_keys(np, op, xs, ys, p, exact)
     if keys_of is None:
         return None
 
     def recount(repeated) -> Counter:
-        """r(x) of the values of the pairs whose key is in repeated."""
+        """c(x) of the values of the pairs whose key is in repeated."""
         value_of = Fraction if op == RATIO else _ARITH[op]
         values = Counter()
         for i0, j0, keys, keep in _lane_blocks(np, keys_of, n_rows, n_cols, tri) if len(repeated) else ():
             hit = _find(np, repeated, keys)[1]
             if keep is not None:
                 hit &= keep
-            for r, c in zip(*(ix.tolist() for ix in np.nonzero(hit))):
-                i, j = i0 + r, j0 + c
-                values[value_of(xs[i], ys[j])] += 1 + (doubled and i != j)
+            values.update(value_of(xs[i0 + r], ys[j0 + c]) for r, c in zip(*(ix.tolist() for ix in np.nonzero(hit))))
         return values
 
     flat = np.empty(total, np.int64)
-    diagonal = []
     at = 0
     for _, _, keys, keep in _lane_blocks(np, keys_of, n_rows, n_cols, tri):
-        if doubled and k:
-            diagonal.append(np.diagonal(keys).copy())
         keys = keys.ravel() if keep is None else keys[keep]
         flat[at:at + len(keys)] = keys
         at += len(keys)
     flat.sort()
-    # A run of L >= 2 equal keys leaves L - 1 of them in dups.  A run of one
-    # is a value of weight 1, or 2 off the diagonal when sum or prod visit
-    # i <= j.
+    # A run of L >= 2 equal keys leaves L - 1 of them in dups; a run of one
+    # is a value visited once.
     dups = flat[1:][flat[1:] == flat[:-1]]
     del flat
     first = np.flatnonzero(np.concatenate(([True], dups[1:] != dups[:-1])))[:len(dups)]
@@ -329,16 +323,14 @@ def _lane_power_sum(op: str, A: FiniteSet, B: FiniteSet, cap: int, k: int, same:
     if not exact and 2 * in_runs > total:
         return None
     power_sum = total - in_runs
-    if doubled and k:
-        diagonal = np.concatenate(diagonal)
-        where, repeats = _find(np, repeated, diagonal)
-        power_sum += (power_sum - len(diagonal) + int(np.count_nonzero(repeats))) * (2**k - 1)
     if not exact:
-        return power_sum + sum(c**k for c in recount(repeated).values())
-    if doubled and k:
-        weights *= 2
-        np.subtract.at(weights, where[repeats], 1)
-    return power_sum + _count_power_sum(weights, k)
+        values = recount(repeated)
+        return power_sum + sum(c**k for c in values.values()), [values.get(x, 1) for x in diagonal]
+    visited = np.ones(len(diagonal), np.int64)
+    if diagonal:
+        at, found = _find(np, repeated, np.array(diagonal, np.int64))
+        visited[found] = weights[at[found]]
+    return power_sum + _count_power_sum(weights, k), visited.tolist()
 
 
 def _count_power_sum(counts, k: int) -> int:
@@ -520,67 +512,58 @@ def _fold_digit_sumset(digits: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(sorted(acc))
 
 
-def _convolve_counts(ring: AmbientRing, counts: dict, values: tuple, op: str, cap: int) -> dict:
-    if len(counts) * len(values) > cap:
-        raise CapExceededError("convolution step exceeds the pair cap")
+def _convolve_counts(ring: AmbientRing, keys, counts, values, op: str):
+    """One step of _fold_counts on the Python route, the count map's oracle:
+    the weight of each x op v (mod p over F_p), x of weight count and v in
+    values, as two lists, keys ascending."""
     out: dict = {}
     get = out.get
-    p = ring.modulus
-    if op == SUM:
-        if p is None:
-            for x, c in counts.items():
-                for v in values:
-                    y = x + v
-                    out[y] = get(y, 0) + c
-        else:
-            for x, c in counts.items():
-                for v in values:
-                    y = (x + v) % p
-                    out[y] = get(y, 0) + c
-    else:  # PROD, the only other op of iterate_sum and energy_tk
-        if p is None:
-            for x, c in counts.items():
-                for v in values:
-                    y = x * v
-                    out[y] = get(y, 0) + c
-        else:
-            for x, c in counts.items():
-                for v in values:
-                    y = (x * v) % p
-                    out[y] = get(y, 0) + c
-    return out
+    arith, p = _ARITH[op], ring.modulus
+    # One loop per ring: one shared loop, mapping op and then mod p over each
+    # row, made T_3 of a power cube 14% slower than a loop per ring.
+    if p is None:
+        for x, c in zip(keys, counts):
+            for v in values:
+                y = arith(x, v)
+                out[y] = get(y, 0) + c
+    else:
+        for x, c in zip(keys, counts):
+            for v in values:
+                y = arith(x, v) % p
+                out[y] = get(y, 0) + c
+    keys = sorted(out)
+    return keys, [out[y] for y in keys]
 
 
 def _fold_counts(A: FiniteSet, op: str, k: int, cap: int):
     """r_{kA}: how many k-tuples of elements of A combine under op (sum or
-    prod) to each element, as (elements, counts).  The steps run on the
-    count map where the lane opens to the |A|^k k-tuples, which bound every
-    step's pairs and counts (fewer than 2^62 of them; 1 < k < 63 keeps the
-    powers small where |A| = 1), and over Z to the largest |value| of kA:
-    two int64 arrays, elements ascending.  Elsewhere _convolve_counts, the
-    oracle, gives two lists.  Each step checks, over Z, the magnitude cap
-    first, then the pair cap."""
-    ring, values = A.ring, A.elements
+    prod) to each element, as (elements, counts), elements ascending, in one
+    loop of k - 1 steps.  A step is the count map where the lane opens to
+    the |A|^k k-tuples, which bound every step's pairs and counts (fewer
+    than 2^62; 1 < k < 63 keeps the powers small where |A| = 1), and over Z
+    to the largest |value| of kA: two int64 arrays.  Elsewhere it is
+    _convolve_counts, the oracle: two lists.  Each step checks, over Z, the
+    magnitude cap first, from the ends of the elements, then the pair cap."""
+    ring, values, p = A.ring, A.elements, A.ring.modulus
     top = max(map(abs, values)) if ring.kind == INTEGERS and values else None
     tuples = len(values) ** k if 1 < k < 63 else 0
     np = None
     if 0 < tuples < 1 << 62:
         np = _lane_numpy(A, A, tuples, None if top is None else k * top if op == SUM else top**k)
-    if np is None:
-        counts = dict.fromkeys(values, 1)
-        for _ in range(k - 1):
-            if top is not None:
-                _check_results(ring, op, max(map(abs, counts)), top)
-            counts = _convolve_counts(ring, counts, values, op, cap)
-        return list(counts), list(counts.values())
-    ys = np.array(values, np.int64)
-    keys, counts = ys, np.ones(len(ys), np.int64)
+    keys, counts = list(values), [1] * len(values)
+    if np is not None:
+        keys = values = np.array(values, np.int64)
+        counts = np.ones(len(values), np.int64)
     for _ in range(k - 1):
         if top is not None:
-            _check_results(ring, op, max(-int(keys[0]), int(keys[-1])), top)
-        if len(keys) * len(ys) > cap:
+            end = max(-keys[0], keys[-1])
+            _check_results(ring, op, end if np is None else int(end), top)
+        if len(keys) * len(values) > cap:
             raise CapExceededError("convolution step exceeds the pair cap")
-        keys, counts = _lane_map(np, _lane_keys(np, op, keys, ys, ring.modulus, True), len(keys), len(ys), counts)
+        if np is None:
+            keys, counts = _convolve_counts(ring, keys, counts, values, op)
+        else:
+            keys, counts = _lane_map(np, _lane_keys(np, op, keys, values, p, True), len(keys), len(values), counts)
     return keys, counts
 
 

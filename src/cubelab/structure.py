@@ -22,7 +22,6 @@ from .cube import (
     CubeSpec,
     FiniteSet,
     enumerate_cube,
-    is_proper,
 )
 from .energy import energy_pair
 from .numeric import DIFF, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, _scalar_op, mode_ops
@@ -144,9 +143,9 @@ def sd_popularity_ok(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """Pointwise form behind the coverage: for a proper height-1 cube,
     r_{Q+Q}(q1+q2) + r_{Q-Q}(q1-q2) >= 2 sqrt(|Q|) for every pair."""
     _require_height1(spec)
-    if not is_proper(spec, cap=cap):
-        raise ValueError("the pointwise popularity bound is stated for proper cubes")
     q_set = enumerate_cube(spec, cap=cap)
+    if len(q_set) != len(spec.digits) ** spec.dimension:
+        raise ValueError("the pointwise popularity bound is stated for proper cubes")
     np, plus, minus = _sum_diff_maps(q_set)
     if np is None:
         sums, diffs = _sum_diff_streams(q_set)

@@ -223,7 +223,11 @@ def test_iterated_sum_frozen_counts():
 
 
 def test_iterated_sum_matches_repeated_pairwise():
+    # Each cube on the count map (the lane threshold lowered to 0) and on the
+    # oracle's steps (numpy hidden).  The last cube is not proper, and its
+    # 207^2 k-tuples pass _LANE_MIN_PAIRS.
     rng = random.Random(7)
+    cases = []
     for _ in range(25):
         d = rng.randint(1, 4)
         spec = _cube(
@@ -231,18 +235,26 @@ def test_iterated_sum_matches_repeated_pairwise():
             digits=tuple(range(rng.randint(2, 4))),
             a0=rng.randint(-5, 5),
         )
-        k = rng.randint(1, 3)
-        kq, r = iterate_sum(spec, k)
+        cases.append((spec, rng.randint(1, 3)))
+    cases.append((_cube([1, 5, 11, 60, 200], digits=(0, 1, 2), a0=-7), 2))
+    for spec, k in cases:
         base = enumerate_cube(spec)
-        acc, counts = base, dict.fromkeys(base.elements, 1)
+        counts = dict.fromkeys(base.elements, 1)
         for _ in range(k - 1):
             acc_next = {}
             for x, c in counts.items():
                 for b in base.elements:
                     acc_next[x + b] = acc_next.get(x + b, 0) + c
             counts = acc_next
-        assert dict(r.items()) == dict(sorted(counts.items()))
-        assert set(kq.elements) == set(counts)
+        for hide_numpy in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
+                if hide_numpy:
+                    mp.setitem(sys.modules, "numpy", None)
+                kq, r = iterate_sum(spec, k)
+            assert dict(r.items()) == counts, (spec, k, hide_numpy)
+            assert set(kq.elements) == set(counts)
+    assert len(base) ** k >= _LANE_MIN_PAIRS
 
 
 def test_iterated_sum_over_field():
@@ -782,10 +794,10 @@ F3, F101 = AmbientRing.prime_field(3), AmbientRing.prime_field(101)
 
 def _convolved(A, op, k):
     """r_{kA} by k - 1 steps of _convolve_counts, the oracle of the fold."""
-    counts = dict.fromkeys(A.elements, 1)
+    keys, counts = list(A.elements), [1] * len(A)
     for _ in range(k - 1):
-        counts = setops._convolve_counts(A.ring, counts, A.elements, op, DEFAULT_PAIR_CAP)
-    return counts
+        keys, counts = setops._convolve_counts(A.ring, keys, counts, A.elements, op)
+    return dict(zip(keys, counts))
 
 
 def _fold(A, op, k, lane_min_pairs=0, block_pairs=None, cap=DEFAULT_PAIR_CAP):
@@ -797,11 +809,12 @@ def _fold(A, op, k, lane_min_pairs=0, block_pairs=None, cap=DEFAULT_PAIR_CAP):
         mp.setattr(setops, "_LANE_MIN_PAIRS", lane_min_pairs)
         if block_pairs is not None:
             mp.setattr(setops, "_BLOCK_PAIRS", block_pairs)
-        mp.setattr(setops, "_convolve_counts", lambda *args: calls.append(1) or oracle(*args))
+        mp.setattr(setops, "_convolve_counts",
+                   lambda ring, keys, counts, values, op: calls.append(1) or oracle(ring, keys, counts, values, op))
         keys, counts = setops._fold_counts(A, op, k, cap)
     if not isinstance(keys, list):
-        assert list(keys) == sorted(keys)
         keys, counts = keys.tolist(), counts.tolist()
+    assert keys == sorted(keys)
     assert all(type(x) is int for x in keys + counts)
     return dict(zip(keys, counts)), bool(calls)
 
@@ -865,15 +878,24 @@ def test_fold_lane_hands_over_past_its_bounds():
         assert energy_tk(ADDITIVE, ten, 30).value == math.comb(60, 30)
 
 
-def test_fold_lane_keeps_the_caps():
-    # Each step checks the magnitude cap, then the pair cap, as the oracle does.
+@pytest.mark.parametrize("route", ["lane", "python"])
+def test_fold_lane_keeps_the_caps(route):
+    # Each step checks the magnitude cap, then the pair cap, on the count
+    # map and on the oracle's steps (numpy hidden).
     tight = AmbientRing.integers(magnitude_cap=1000)
     A = FiniteSet.from_iterable(tight, [7, 9, 11, 13])
-    assert _fold(A, PROD, 2)[0] == _convolved(A, PROD, 2)
     with pytest.MonkeyPatch.context() as mp:
+        if route == "python":
+            mp.setitem(sys.modules, "numpy", None)
+        got, python_route = _fold(A, PROD, 2)
+        assert got == _convolved(A, PROD, 2)
+        assert python_route == (route == "python" or not HAVE_NUMPY)
         mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
         with pytest.raises(CapExceededError, match="magnitude"):
             setops._fold_counts(A, PROD, 3, DEFAULT_PAIR_CAP)
+        # 2A reaches -800 at its low end, so 3A would reach -1200.
+        with pytest.raises(CapExceededError, match="magnitude"):
+            setops._fold_counts(FiniteSet.from_iterable(tight, [-400, 1]), SUM, 3, DEFAULT_PAIR_CAP)
         with pytest.raises(CapExceededError, match="pair cap"):
             setops._fold_counts(zset(*range(10)), SUM, 3, 99)
         assert len(setops._fold_counts(zset(*range(10)), SUM, 3, 190)[0]) == 28
