@@ -519,8 +519,8 @@ def _convolve_counts(ring: AmbientRing, keys, counts, values, op: str):
     out: dict = {}
     get = out.get
     arith, p = _ARITH[op], ring.modulus
-    # One loop per ring: one shared loop, mapping op and then mod p over each
-    # row, made T_3 of a power cube 14% slower than a loop per ring.
+    # A loop per ring: mapping op, then mod p, over each row in one shared
+    # loop made T_3 of a d=8 power cube about 10% slower (numpy hidden).
     if p is None:
         for x, c in zip(keys, counts):
             for v in values:
