@@ -41,13 +41,14 @@ a count map, _lane_map: sorted unique int64 values with int64 counts,
 built from blocks of rows that are sorted and merged in.  It folds r_{kA}
 for energy_tk (k >= 3) and iterate_sum: _fold_counts has one step loop,
 each step either the count map or _convolve_counts, the oracle, and both
-give the keys ascending.  It also gives structure's popular sums and
-differences r_{Q+Q} and r_{Q-Q}.  It takes int sets whose results fit an
-int64 (or F_p with p < 2^31) and, for a fold, fewer than 2^62 k-tuples.
+give the keys ascending.  At k = 2 it takes diff too: r_{Q+Q} and r_{Q-Q}
+of the popular sum/difference split, whose checks walk the pairs of Q in
+_least_pair_count.  It takes int sets whose results fit an int64 (or F_p
+with p < 2^31) and, for a fold, fewer than 2^62 k-tuples.
 
 The lane has one gate, _lane_numpy, one pair kernel, _lane_keys, and one
 block walk, _lane_blocks (blocks of rows of about _BLOCK_PAIRS pairs),
-shared by the power sum, the fold and structure's count map and checks.
+shared by the power sum, the fold and the split's pair walk.
 
 Both routes give the same counts; numpy is imported only when the lane is
 tried, never by ``import cubelab``.
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product, repeat, starmap
 from math import gcd, prod
-from operator import mod
+from operator import add, mod
 
 from .cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
 from .numeric import (_ARITH, DIFF, INTEGERS, PROD, RATIO, SUM, AmbientRing, CapExceededError, _check_results,
@@ -123,9 +124,9 @@ def _require_same_ring(*sets: FiniteSet) -> AmbientRing:
     return ring
 
 
-def _check_pair_cap(A: FiniteSet, B: FiniteSet, cap: int) -> None:
-    if len(A) * len(B) > cap:
-        raise CapExceededError(f"{len(A)}x{len(B)} pairs exceed cap {cap}")
+def _check_pair_cap(n: int, m: int, cap: int) -> None:
+    if n * m > cap:
+        raise CapExceededError(f"{n}x{m} pairs exceed the pair cap {cap}")
 
 
 def _check_magnitude(ring: AmbientRing, op: str, A: FiniteSet, B: FiniteSet):
@@ -152,7 +153,7 @@ def _check_pairs(op: str, A: FiniteSet, B: FiniteSet, cap: int) -> tuple[Ambient
     ring = _require_same_ring(A, B)
     if op not in (SUM, DIFF, PROD, RATIO):
         raise ValueError(f"unknown pairwise op {op!r}")
-    _check_pair_cap(A, B, cap)
+    _check_pair_cap(len(A), len(B), cap)
     return ring, _check_magnitude(ring, op, A, B)
 
 
@@ -537,19 +538,20 @@ def _convolve_counts(ring: AmbientRing, keys, counts, values, op: str):
 
 def _fold_counts(A: FiniteSet, op: str, k: int, cap: int):
     """r_{kA}: how many k-tuples of elements of A combine under op (sum or
-    prod) to each element, as (elements, counts), elements ascending, in one
-    loop of k - 1 steps.  A step is the count map where the lane opens to
-    the |A|^k k-tuples, which bound every step's pairs and counts (fewer
-    than 2^62; 1 < k < 63 keeps the powers small where |A| = 1), and over Z
-    to the largest |value| of kA: two int64 arrays.  Elsewhere it is
-    _convolve_counts, the oracle: two lists.  Each step checks, over Z, the
-    magnitude cap first, from the ends of the elements, then the pair cap."""
+    prod, and diff at k = 2 for r_{A-A}) to each element, as (elements,
+    counts), elements ascending, in one loop of k - 1 steps.  A step is the
+    count map where the lane opens to the |A|^k k-tuples, which bound every
+    step's pairs and counts (fewer than 2^62; 1 < k < 63 keeps the powers
+    small where |A| = 1), and over Z to the largest |value| of kA: two
+    int64 arrays.  Elsewhere it is _convolve_counts, the oracle: two lists.
+    Each step checks, over Z, the magnitude cap first, from the ends of the
+    elements, then the pair cap."""
     ring, values, p = A.ring, A.elements, A.ring.modulus
     top = max(map(abs, values)) if ring.kind == INTEGERS and values else None
     tuples = len(values) ** k if 1 < k < 63 else 0
     np = None
     if 0 < tuples < 1 << 62:
-        np = _lane_numpy(A, A, tuples, None if top is None else k * top if op == SUM else top**k)
+        np = _lane_numpy(A, A, tuples, None if top is None else top**k if op == PROD else k * top)
     keys, counts = list(values), [1] * len(values)
     if np is not None:
         keys = values = np.array(values, np.int64)
@@ -558,13 +560,43 @@ def _fold_counts(A: FiniteSet, op: str, k: int, cap: int):
         if top is not None:
             end = max(-keys[0], keys[-1])
             _check_results(ring, op, end if np is None else int(end), top)
-        if len(keys) * len(values) > cap:
-            raise CapExceededError("convolution step exceeds the pair cap")
+        _check_pair_cap(len(keys), len(values), cap)
         if np is None:
             keys, counts = _convolve_counts(ring, keys, counts, values, op)
         else:
             keys, counts = _lane_map(np, _lane_keys(np, op, keys, values, p, True), len(keys), len(values), counts)
     return keys, counts
+
+
+def _as_lists(keys, counts):
+    """A fold's (keys, counts), int64 arrays or sequences, as Python ints."""
+    return (keys.tolist(), counts.tolist()) if hasattr(keys, "tolist") else (keys, counts)
+
+
+def _least_pair_count(Q: FiniteSet, plus, minus) -> int:
+    """The least plus(b1 + b2) + minus(b1 - b2) over the ordered pairs of Q:
+    the popular sum/difference split's one pair walk.  A table is (values
+    ascending, counts), and a value missing from it counts 0.  The lane
+    walks _lane_blocks of the sum and difference kernels and looks up with
+    _find; the Python route reads the _pair_keys streams through dict.get."""
+    n = len(Q)
+    np = _lane_numpy(Q, Q, n * n, _check_pairs(SUM, Q, Q, DEFAULT_PAIR_CAP)[1])
+    if np is None:
+        plus, minus = (dict(zip(*_as_lists(*table))).get for table in (plus, minus))
+        sums, diffs = (_pair_keys(op, Q, Q, DEFAULT_PAIR_CAP) for op in (SUM, DIFF))
+        return min(map(add, map(plus, sums, repeat(0)), map(minus, diffs, repeat(0))))
+    # Each table's counts end in a 0, where a missing value points.
+    tables = [(np.asarray(values, np.int64), np.append(np.asarray(counts, np.int64), 0))
+              for values, counts in (plus, minus)]
+
+    def counts_of(table, keys):
+        at, found = _find(np, table[0], keys)
+        return table[1][np.where(found, at, -1)]
+
+    blocks = (_lane_blocks(np, _lane_keys(np, op, Q.elements, Q.elements, Q.ring.modulus, True), n, n)
+              for op in (SUM, DIFF))
+    return min(int((counts_of(tables[0], s) + counts_of(tables[1], d)).min())
+               for (_, _, s, _), (_, _, d, _) in zip(*blocks))
 
 
 def iterate_sum(
@@ -595,9 +627,7 @@ def iterate_sum(
     value_set = enumerate_cube(folded, cap=enum_cap)
     if not with_multiplicities:
         return value_set, None
-    keys, counts = _fold_counts(enumerate_cube(spec, cap=enum_cap), SUM, k, pair_cap)
-    if not isinstance(keys, list):
-        keys, counts = keys.tolist(), counts.tolist()
+    keys, counts = _as_lists(*_fold_counts(enumerate_cube(spec, cap=enum_cap), SUM, k, pair_cap))
     if set(keys) != set(value_set.elements):
         raise AssertionError("convolution support disagrees with direct enumeration")
     return value_set, MultiplicityMap(ring, dict(zip(keys, counts)))

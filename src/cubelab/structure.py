@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iter_product
 from math import log2, sqrt
-from operator import add
 
 from .cube import (
     ADDITIVE,
@@ -25,8 +24,8 @@ from .cube import (
 )
 from .energy import energy_pair
 from .numeric import DIFF, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, _scalar_op, mode_ops
-from .setops import (DEFAULT_PAIR_CAP, _check_pairs, _count_at, _find, _lane_blocks, _lane_keys, _lane_map,
-                     _lane_numpy, _pair_keys, _require_same_ring, pairwise_set)
+from .setops import (DEFAULT_PAIR_CAP, _as_lists, _count_at, _fold_counts, _least_pair_count, _pair_keys,
+                     _require_same_ring, pairwise_set)
 
 OLMEZOV_TERM_CAP = 10**9
 # olmezov_sides' side cap: 14000 bits stay under the 4300 digits Python prints.
@@ -74,13 +73,9 @@ class SDDecomposition:
     threshold: float
 
     def coverage_ok(self) -> bool:
-        Q = self.cube_set
-        np = _lane_numpy(Q, Q, len(Q) ** 2, _check_pairs(SUM, Q, Q, DEFAULT_PAIR_CAP)[1])
-        if np is None:
-            sums, diffs = self.sums._members, self.diffs._members
-            return all(s in sums or d in diffs for s, d in zip(*_sum_diff_streams(Q)))
-        sums, diffs = (np.array(X.elements, np.int64) for X in (self.sums, self.diffs))
-        return all(np.all(_find(np, sums, s)[1] | _find(np, diffs, d)[1]) for s, d in _sum_diff_blocks(np, Q))
+        # A pair is covered when its sum is in S or its difference in D.
+        S, D = self.sums.elements, self.diffs.elements
+        return _least_pair_count(self.cube_set, (S, [1] * len(S)), (D, [1] * len(D))) > 0
 
     def sizes_ok(self) -> bool:
         q = len(self.cube_set)
@@ -95,42 +90,16 @@ def _require_height1(spec: CubeSpec) -> None:
 
 
 def _sum_diff_maps(Q: FiniteSet):
-    """(np, r_{Q+Q}, r_{Q-Q}).  Where setops' count map applies, np is numpy
-    and each r a pair of sorted int64 arrays, the values and their counts;
-    elsewhere np is None and each r a Counter of the pairs."""
-    np = _lane_numpy(Q, Q, len(Q) ** 2, _check_pairs(SUM, Q, Q, DEFAULT_PAIR_CAP)[1])
-    if np is None:
-        return None, *(Counter(_pair_keys(op, Q, Q, DEFAULT_PAIR_CAP)) for op in (SUM, DIFF))
-    n = len(Q)
-    return np, *(_lane_map(np, keys_of, n, n, np.ones(n, np.int64)) for keys_of in _sum_diff_keys(np, Q))
-
-
-def _sum_diff_streams(Q: FiniteSet):
-    """The streams b1 + b2 and b1 - b2 over the ordered pairs of Q, in one order."""
-    return _pair_keys(SUM, Q, Q, DEFAULT_PAIR_CAP), _pair_keys(DIFF, Q, Q, DEFAULT_PAIR_CAP)
-
-
-def _sum_diff_keys(np, Q: FiniteSet):
-    """setops' pair kernels of b1 + b2 and b1 - b2 over Q x Q."""
-    return [_lane_keys(np, op, Q.elements, Q.elements, Q.ring.modulus, True) for op in (SUM, DIFF)]
-
-
-def _sum_diff_blocks(np, Q: FiniteSet):
-    """The same pairs on the count map's terms: (b1 + b2, b1 - b2) as two
-    int64 arrays per block of rows."""
-    n = len(Q)
-    return zip(*((keys for _, _, keys, _ in _lane_blocks(np, keys_of, n, n)) for keys_of in _sum_diff_keys(np, Q)))
+    """r_{Q+Q} and r_{Q-Q}, each as setops' fold gives it: (values
+    ascending, counts), two int64 arrays or two lists."""
+    return [_fold_counts(Q, op, 2, DEFAULT_PAIR_CAP) for op in (SUM, DIFF)]
 
 
 def sd_decompose(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> SDDecomposition:
     _require_height1(spec)
     q_set = enumerate_cube(spec, cap=cap)
     q = len(q_set)
-    np, plus, minus = _sum_diff_maps(q_set)
-    if np is None:
-        popular = [sorted(x for x, c in r.items() if c * c >= q) for r in (plus, minus)]
-    else:
-        popular = [keys[counts * counts >= q].tolist() for keys, counts in (plus, minus)]
+    popular = [[x for x, c in zip(*_as_lists(*r)) if c * c >= q] for r in _sum_diff_maps(q_set)]
     return SDDecomposition(
         cube_set=q_set,
         sums=FiniteSet(spec.ring, tuple(popular[0])),
@@ -146,16 +115,7 @@ def sd_popularity_ok(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> bool:
     q_set = enumerate_cube(spec, cap=cap)
     if len(q_set) != len(spec.digits) ** spec.dimension:
         raise ValueError("the pointwise popularity bound is stated for proper cubes")
-    np, plus, minus = _sum_diff_maps(q_set)
-    if np is None:
-        sums, diffs = _sum_diff_streams(q_set)
-        least = min(map(add, map(plus.__getitem__, sums), map(minus.__getitem__, diffs)))
-    else:
-        # Every sum and difference is a value of its map.
-        least = min(
-            int((plus[1][_find(np, plus[0], s)[0]] + minus[1][_find(np, minus[0], d)[0]]).min())
-            for s, d in _sum_diff_blocks(np, q_set)
-        )
+    least = _least_pair_count(q_set, *_sum_diff_maps(q_set))
     return least * least >= 4 * len(q_set)
 
 

@@ -286,6 +286,14 @@ def test_cap_exceeded_exit_3(tmp_path, capsys):
         assert code == 3 and err.startswith("cap exceeded:"), (n, err)
 
 
+def test_sd_pair_cap_exit_3(capsys):
+    # 14 generators give 2^14 elements, whose 2^28 pairs pass the 2^26 pair cap.
+    gens = ",".join(str(3**j) for j in range(14))
+    code, out, err = run_cli(capsys, "verify", "sd", "--gens", gens)
+    assert code == 3 and out == "" and err.startswith("cap exceeded: 16384x16384 pairs exceed"), err
+    assert str(2**26) in err, err
+
+
 def test_magnitude_cap_exit_3(tmp_path, capsys):
     # T_3 of three 200-bit elements reaches 2^600, past the default 2^512 cap.
     big = tmp_path / "big.txt"

@@ -13,7 +13,7 @@ import pytest
 from cubelab import setops
 from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet, enumerate_cube
 from cubelab.numeric import AmbientRing, CapExceededError
-from cubelab.setops import PROD, SUM, pairwise_set
+from cubelab.setops import DIFF, PROD, SUM, pairwise_set
 from cubelab.structure import (
     energy_lower_check,
     gmr_check,
@@ -136,6 +136,32 @@ def test_sd_coverage_failure_on_both_routes():
             assert dec.coverage_ok()
             no_zero = FiniteSet(Z, tuple(x for x in dec.diffs.elements if x))
             assert not replace(dec, diffs=no_zero).coverage_ok()
+    # An empty S or D looks up 0 for every value: the other set alone covers
+    # when it holds every sum (or difference), and two empty sets cover nothing.
+    for ring, lane in iter_product((Z, F101), (True, False)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
+            if not lane:
+                mp.setitem(sys.modules, "numpy", None)
+            dec = sd_decompose(cube([1, 10, 100], ring=ring))
+            Q, empty = dec.cube_set, FiniteSet(ring, ())
+            assert replace(dec, sums=pairwise_set(SUM, Q, Q), diffs=empty).coverage_ok()
+            assert replace(dec, sums=empty, diffs=pairwise_set(DIFF, Q, Q)).coverage_ok()
+            assert not replace(dec, sums=empty, diffs=empty).coverage_ok()
+
+
+@pytest.mark.parametrize("route", ["lane", "python"])
+def test_sd_split_keeps_the_magnitude_cap(route):
+    # The cube reaches 511, so Q + Q reaches 1022, past the cap; the magnitude
+    # rule bounds Q - Q by the same 511 + 511.
+    spec = CubeSpec(AmbientRing.integers(magnitude_cap=1000), 0, (1, 10, 100, 400), (0, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
+        if route == "python":
+            mp.setitem(sys.modules, "numpy", None)
+        for check in (sd_decompose, sd_popularity_ok):
+            with pytest.raises(CapExceededError, match="magnitude"):
+                check(spec)
 
 
 def test_sd_rejects_higher_digits():
