@@ -585,13 +585,14 @@ def _least_pair_count(Q: FiniteSet, plus, minus) -> int:
         plus, minus = (dict(zip(*_as_lists(*table))).get for table in (plus, minus))
         sums, diffs = (_pair_keys(op, Q, Q, DEFAULT_PAIR_CAP) for op in (SUM, DIFF))
         return min(map(add, map(plus, sums, repeat(0)), map(minus, diffs, repeat(0))))
-    # Each table's counts end in a 0, where a missing value points.
+    # found zeroes a missing value's count; a key past the last value, or any
+    # key of an empty table, takes the 0 appended to the counts.
     tables = [(np.asarray(values, np.int64), np.append(np.asarray(counts, np.int64), 0))
               for values, counts in (plus, minus)]
 
     def counts_of(table, keys):
         at, found = _find(np, table[0], keys)
-        return table[1][np.where(found, at, -1)]
+        return table[1].take(at) * found
 
     blocks = (_lane_blocks(np, _lane_keys(np, op, Q.elements, Q.elements, Q.ring.modulus, True), n, n)
               for op in (SUM, DIFF))
