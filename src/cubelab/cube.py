@@ -239,5 +239,6 @@ def split_balanced(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP):
     if len(sides[0]) > len(sides[1]):
         sides.reverse()
         index_sides.reverse()
-    assert len(sides[1]) <= len(spec.digits) * len(sides[0]), "greedy split lost its balance"
+    if len(sides[1]) > len(spec.digits) * len(sides[0]):
+        raise AssertionError("greedy split lost its balance")
     return tuple(index_sides[0]), tuple(index_sides[1])

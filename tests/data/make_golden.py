@@ -2,22 +2,30 @@
 
     PYTHONPATH=src python tests/data/make_golden.py
 
-The inputs are drawn once, from a fixed seed, and stored in
+The inputs are drawn once, from fixed seeds, and stored in
 golden_counts.json beside the answers; when that file exists its inputs
-are kept and only the answers are written again.  Run it only in a change
-that alters a result on purpose, and list the values that changed.
+are kept, a section it lacks is drawn from that section's own seed, and
+the answers are written again.  Run it only in a change that alters a
+result on purpose, or that adds a section, and list the values that
+changed; run on unchanged code, it leaves the data as they are.
 """
 
 import json
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from test_golden import CAMPAIGN, COUNTS, campaign_lines, golden_counts  # noqa: E402
+from test_golden import CAMPAIGN, COUNTS, _strs, campaign_lines, golden_counts  # noqa: E402
+
+from cubelab.cube import ADDITIVE, enumerate_cube  # noqa: E402
+from cubelab.experiments import random_proper_cube  # noqa: E402
+from cubelab.numeric import AmbientRing  # noqa: E402
+from cubelab.setops import RATIO, pairwise_set  # noqa: E402
 
 P31 = 2**31 - 1
 OPS = ("sum", "diff", "prod", "ratio")
@@ -91,8 +99,76 @@ def draw() -> dict:
     return {"sets": sets, "power_sums": power_sums, "folds": folds, "cubes": cubes, "campaign": CAMPAIGN_CONFIG}
 
 
+def _stored(x) -> str:
+    """An element as stored: a Fraction as "n/d", even where d = 1, or an int."""
+    return f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else str(x)
+
+
+def draw_fractions(rng) -> dict:
+    """Sets over Z holding Fractions, the power sums to count on them: mixed
+    int/Fraction sets of both signs with 0, small and past 2^64, and the
+    241-element ratio set R = Q/Q of the d=4 cube of seed 4, for |R/R|."""
+    sets = {}
+    for name, n, top, den in (("mixed-small", 14, 30, 9), ("mixed-wide", 12, 2**70, 2**40)):
+        for side, size in (("a", n), ("b", n - 3)):
+            values = {0, Fraction(-1, 2), 1}
+            while len(values) < size:
+                v = rng.randint(-top, top)
+                values.add(Fraction(v, rng.randint(2, den)) if rng.random() < 0.5 else v)
+            sets[f"{name}-{side}"] = [_stored(v) for v in sorted(values)]
+    power_sums = [[op, f"{name}-a", f"{name}-{side}", k] for name in ("mixed-small", "mixed-wide")
+                  for op in OPS for side in "ab" for k in KS]
+    Q = enumerate_cube(random_proper_cube(AmbientRing.integers(), 4, 1, ADDITIVE, seed=4))
+    sets["ratio-set"] = [_stored(v) for v in pairwise_set(RATIO, Q, Q).elements]
+    return {"sets": sets, "power_sums": power_sums + [["ratio", "ratio-set", "ratio-set", 0]]}
+
+
+def draw_correlations(rng) -> list:
+    """Small sets whose correlation tables to pin: both modes, arity 1-3,
+    over Z (ratios are Fractions) and F_101, none with 0 in every set."""
+    cases = []
+    for mode in ("additive", "multiplicative"):
+        for p in (None, 101):
+            for arity, size in ((1, 7), (2, 5), (3, 4)):
+                draw = (lambda: rng.randint(-20, 20)) if p is None else (lambda: rng.randrange(p))
+                sets = [sorted({draw() for _ in range(size)} - ({0} if i == 0 else set())) for i in range(arity + 1)]
+                cases.append({"mode": mode, "p": None if p is None else str(p), "sets": [_strs(s) for s in sets]})
+    return cases
+
+
+def draw_incidences(rng) -> list:
+    """Incidence instances as JSON objects, with points repeated and not
+    reduced mod p: lines and planes at p = 3 and 101, and all lines at 101."""
+    cases = []
+    for p, n in ((3, 12), (101, 40)):
+        def coordinate():
+            return rng.randint(-2 * p, 3 * p)
+
+        points = [[coordinate(), coordinate()] for _ in range(n)]
+        points += rng.sample(points, 4) + [[x + p, y - 2 * p] for x, y in points[:3]]
+        lines = [{"vertical": rng.random() < 0.2, "a": coordinate(), "b": coordinate()} for _ in range(2 * n)]
+        lines += rng.sample(lines, 3)
+        cases.append({"instance": {"p": p, "points": points, "lines": lines}, "all_lines": False})
+        if p == 101:
+            cases.append({"instance": {"p": p, "points": points}, "all_lines": True})
+        points3 = [[coordinate(), coordinate(), coordinate()] for _ in range(n)]
+        points3 += rng.sample(points3, 4) + [[x - p, y, z + p] for x, y, z in points3[:3]]
+        rows = ([coordinate() for _ in range(4)] for _ in range(2 * n))
+        planes = [row for row in rows if any(v % p for v in row[:3])]  # a normal that is 0 mod p is refused
+        cases.append({"instance": {"p": p, "points": points3, "planes": planes}, "all_lines": False})
+    return cases
+
+
+# The sections added after the first draw, each drawn from its own seed.
+LATER_SECTIONS = {"fractions": (2, draw_fractions), "correlations": (3, draw_correlations),
+                  "incidences": (4, draw_incidences)}
+
+
 def main() -> None:
     inputs = json.loads(COUNTS.read_text())["inputs"] if COUNTS.exists() else draw()
+    for name, (seed, draw_section) in LATER_SECTIONS.items():
+        if name not in inputs:
+            inputs[name] = draw_section(random.Random(seed))
     data = {"inputs": inputs, "outputs": golden_counts(inputs)}
     COUNTS.write_text(json.dumps(data, separators=(",", ":")) + "\n")
     with tempfile.TemporaryDirectory() as tmp:

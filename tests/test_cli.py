@@ -254,6 +254,8 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
      '"lhs": 1, "rhs": 192, "pass": true'),
     (["verify", "energy-lower", "--gens", "1,10,100", "B.txt"], '"lhs": 24, "rhs": 11.313708498984761, "pass": true'),
     (["conjecture", "--set", "A.txt", "-m", "2"], '"|Q^3|": "20", "n": "3"}'),
+    (["cube", "symmetry", "--gens", "1,4", "--h", "2"], '{"witness": 10, "symmetric": true}'),
+    (["setop", "sum", "A.txt"], "{2, 3, 4, 6, 7, 8, 9, 10, 12, 14}"),
 ])
 def test_commands_print_their_results(tmp_path, monkeypatch, capsys, argv, says):
     monkeypatch.chdir(tmp_path)

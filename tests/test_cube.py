@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -162,6 +164,20 @@ def test_enum_cap():
         enumerate_cube(capped)
     with pytest.raises(CapExceededError):
         split_balanced(capped)
+    # Its subcubes may hold 2^2 = 4 values, past a cap of 3.
+    with pytest.raises(CapExceededError):
+        split_balanced(cube([1, 10]), cap=3)
+
+
+def test_split_balance_check_survives_python_O():
+    # A _grow that makes each side ten times larger unbalances the split.  The
+    # check is a raise, not an assert, so python -O runs it too.
+    code = ("from cubelab import cube; from cubelab.numeric import AmbientRing; "
+            "cube._grow = lambda spec, values, g: values | set(range(len(values) * 10)); "
+            "cube.split_balanced(cube.CubeSpec(AmbientRing.integers(), 0, (1, 2, 3), (0, 1)))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().endswith("AssertionError: greedy split lost its balance")
 
 
 def test_finite_set_lines_round_trip():

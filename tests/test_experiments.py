@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +28,7 @@ from cubelab.experiments import (
     run_campaign,
 )
 from cubelab.numeric import AmbientRing
+from routes import HAVE_NUMPY, counting_route
 
 Z = AmbientRing.integers()
 F101 = AmbientRing.prime_field(101)
@@ -126,9 +126,8 @@ def test_growth_trial_multiplicative():
 
 def test_growth_trial_degenerate():
     spec = random_cube(Z, 0, 1, ADDITIVE, "uniform(1..9)", seed=0)
-    rec = growth_trial(spec)
-    assert rec.flag == "degenerate"
-    assert rec.measured == {"|Q|": 1}
+    for rec in (growth_trial(spec), energy_bound_trial(spec)):
+        assert rec.flag == "degenerate" and rec.measured == {"|Q|": 1}, rec.name
 
 
 def test_energy_trial_shapes():
@@ -225,18 +224,21 @@ def test_expand_campaign_rejects_empty_ranges_and_negative_d(key, value, says):
         expand_campaign(dict(CONFIG, **{key: value}))
 
 
-def test_campaign_records_do_not_depend_on_numpy(tmp_path, monkeypatch):
+def test_campaign_records_do_not_depend_on_numpy(tmp_path):
     # d=8 cubes have 2^16 pairs, enough for the numpy lane of sizes and
     # energies over Z and F_10007; hiding numpy sends every count to the
-    # Python route.
+    # Python route; each task counts twice, in this process.
     config = {"experiments": ["growth_additive", "growth_multiplicative", "energy_additive",
                               "energy_multiplicative"],
               "dRange": [7, 8], "pList": [10007], "seeds": [0, 1]}
-    with_numpy = run_campaign(config, tmp_path / "with.jsonl")
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    without = run_campaign(config, tmp_path / "without.jsonl")
+    with counting_route() as lane:
+        with_numpy = run_campaign(config, tmp_path / "with.jsonl")
+    with counting_route("python") as python:
+        without = run_campaign(config, tmp_path / "without.jsonl")
     assert len(with_numpy) == 32
     assert json.dumps([r.comparable() for r in without]) == json.dumps([r.comparable() for r in with_numpy])
+    assert lane == ({"_lane_power_sum": 32, "_python_power_sum": 32} if HAVE_NUMPY else {"_python_power_sum": 64})
+    assert python == {"_python_power_sum": 64}
 
 
 def test_campaign_idempotent(tmp_path):

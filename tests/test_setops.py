@@ -2,6 +2,7 @@
 higher correlations, checked against brute-force recounts."""
 
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from cubelab.setops import (
     pairwise_set,
     pairwise_size,
 )
+from routes import HAVE_NUMPY, counting_route
 
 Z = AmbientRing.integers()
 F13 = AmbientRing.prime_field(13)
@@ -118,24 +120,19 @@ def _random_set(rng, ring, n, lo=-40, hi=40, fractions=0.0):
     return FiniteSet.from_iterable(ring, values)
 
 
+def _scalar(op, p=None):
+    """a op b by plain arithmetic (a ratio a Fraction over Z), mod p if given."""
+    if op == RATIO:
+        return Fraction if p is None else lambda a, b: a * pow(b, -1, p) % p
+    arith = {SUM: operator.add, DIFF: operator.sub, PROD: operator.mul}[op]
+    return arith if p is None else lambda a, b: arith(a, b) % p
+
+
 def _brute_force_counts(op, A, B):
-    """r(x) by a plain double loop, ratios as Fraction(a, b) over Z: the
-    oracle for pairwise, pairwise_set and pairwise_size, which share one
-    kernel."""
-    p = A.ring.modulus
-    counts = {}
-    for a in A.elements:
-        for b in B.elements:
-            if op == RATIO:
-                if b == 0:
-                    continue
-                x = Fraction(a, b) if p is None else a * pow(b, -1, p) % p
-            else:
-                x = {SUM: a + b, DIFF: a - b, PROD: a * b}[op]
-                if p is not None:
-                    x %= p
-            counts[x] = counts.get(x, 0) + 1
-    return counts
+    """r(x) by a plain double loop: the oracle for pairwise, pairwise_set
+    and pairwise_size, which share one kernel."""
+    value = _scalar(op, A.ring.modulus)
+    return Counter(value(a, b) for a in A.elements for b in B.elements if op != RATIO or b)
 
 
 def _assert_matches_oracle(A, B):
@@ -151,31 +148,31 @@ def _assert_matches_oracle(A, B):
 
 # pairwise_size's lane threshold: the default, where these small sets take
 # the Python route, and 0, where every int set takes the numpy lane.
-_THRESHOLDS = pytest.mark.parametrize("lane_min_pairs", [_LANE_MIN_PAIRS, 0], ids=["default_threshold", "lane_from_0"])
+_THRESHOLDS = pytest.mark.parametrize("force", [None, "lane"], ids=["default_threshold", "lane_from_0"])
 
 
 @_THRESHOLDS
-def test_fast_paths_agree_with_counting(monkeypatch, lane_min_pairs):
+def test_fast_paths_agree_with_counting(force):
     # Ints over Z and F_13, then Fraction-only and mixed int/Fraction sets
     # over Z; the draws hold negatives and, now and then, 0.
-    monkeypatch.setattr(setops, "_LANE_MIN_PAIRS", lane_min_pairs)
     rng = random.Random(42)
     kinds = [(Z, 0.0), (F13, 0.0), (Z, 1.0), (Z, 0.5)]
-    for trial in range(120):
-        ring, fractions = kinds[trial % len(kinds)]
-        A = _random_set(rng, ring, rng.randint(1, 12), fractions=fractions)
-        B = _random_set(rng, ring, rng.randint(1, 12), fractions=fractions)
-        _assert_matches_oracle(A, B)
-    _assert_matches_oracle(zset(0, -3, Fraction(1, 2), Fraction(-7, 3), 5), zset(0, Fraction(-2, 5), 4))
-    _assert_matches_oracle(zset(Fraction(-1, 2), Fraction(0), Fraction(3)), zset(0))
+    with counting_route(force) as ran:
+        for trial in range(120):
+            ring, fractions = kinds[trial % len(kinds)]
+            A = _random_set(rng, ring, rng.randint(1, 12), fractions=fractions)
+            B = _random_set(rng, ring, rng.randint(1, 12), fractions=fractions)
+            _assert_matches_oracle(A, B)
+        _assert_matches_oracle(zset(0, -3, Fraction(1, 2), Fraction(-7, 3), 5), zset(0, Fraction(-2, 5), 4))
+        _assert_matches_oracle(zset(Fraction(-1, 2), Fraction(0), Fraction(3)), zset(0))
+    assert ran["_python_power_sum"] and bool(ran["_lane_power_sum"]) == (HAVE_NUMPY and force == "lane")
 
 
 @_THRESHOLDS
-def test_size_shortcuts_on_one_sided_sets(monkeypatch, lane_min_pairs):
+def test_size_shortcuts_on_one_sided_sets(force):
     # Same-operand sets whose nonzero elements share a sign count half the
     # pairs for RATIO, and all of A x A when they hold both signs; DIFF
     # always counts half.
-    monkeypatch.setattr(setops, "_LANE_MIN_PAIRS", lane_min_pairs)
     rng = random.Random(7)
     probes = [
         zset(),
@@ -190,9 +187,11 @@ def test_size_shortcuts_on_one_sided_sets(monkeypatch, lane_min_pairs):
         zset(*(rng.randint(-50, 50) for _ in range(12))),
         zset(*(Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(12))),
     ]
-    for A in probes:
-        for op in (RATIO, DIFF):
-            assert pairwise_size(op, A, A) == len(_brute_force_counts(op, A, A)), (op, A.elements)
+    with counting_route(force) as ran:
+        for A in probes:
+            for op in (RATIO, DIFF):
+                assert pairwise_size(op, A, A) == len(_brute_force_counts(op, A, A)), (op, A.elements)
+    assert ran["_python_power_sum"] and bool(ran["_lane_power_sum"]) == (HAVE_NUMPY and force == "lane")
 
 
 def test_pair_cap_raises():
@@ -239,21 +238,15 @@ def test_iterated_sum_matches_repeated_pairwise():
     cases.append((_cube([1, 5, 11, 60, 200], digits=(0, 1, 2), a0=-7), 2))
     for spec, k in cases:
         base = enumerate_cube(spec)
-        counts = dict.fromkeys(base.elements, 1)
+        counts = Counter(base.elements)
         for _ in range(k - 1):
-            acc_next = {}
-            for x, c in counts.items():
-                for b in base.elements:
-                    acc_next[x + b] = acc_next.get(x + b, 0) + c
-            counts = acc_next
-        for hide_numpy in (False, True):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
-                if hide_numpy:
-                    mp.setitem(sys.modules, "numpy", None)
+            counts = sum((Counter({x + b: c for x, c in counts.items()}) for b in base.elements), Counter())
+        for force in ("lane", "python"):
+            with counting_route(force) as ran:
                 kq, r = iterate_sum(spec, k)
-            assert dict(r.items()) == counts, (spec, k, hide_numpy)
+            assert dict(r.items()) == counts, (spec, k, force)
             assert set(kq.elements) == set(counts)
+            assert ran == _steps(HAVE_NUMPY and force == "lane", k - 1), (spec, k, force)
     assert len(base) ** k >= _LANE_MIN_PAIRS
 
 
@@ -363,6 +356,9 @@ def test_correlation_cap_edges():
     # 100, although the walk visits 900 tuples in all.
     A = zset(*range(30))
     assert len(correlation(ADDITIVE, [A, A], grid_cap=100).table) == 59
+    # 10 tuples per base point, but the table reaches 16 entries at z = 6.
+    with pytest.raises(CapExceededError, match="table of 16 entries"):
+        correlation(ADDITIVE, [zset(*range(10))] * 2, grid_cap=15)
     # The walk skips z = 0, which has no inverse, before its 200 tuples
     # could be counted against the cap.
     assert correlation(MULTIPLICATIVE, [zset(0), zset(*range(1, 201))], grid_cap=100).table == {}
@@ -468,12 +464,6 @@ def test_sum_diff_duality(xs, ys):
 
 # --- the numpy lane of _power_sum, against the Counter/set oracle -------------
 
-try:
-    import numpy  # noqa: F401  (only to learn whether the lane can run)
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
 OPS = (SUM, DIFF, PROD, RATIO)
 KS = (0, 2, 3)
 TINY_PRIMES = (101, 103)
@@ -488,46 +478,26 @@ def _oracle(op, A, B, k):
     return sum(c**k for c in Counter(setops._pair_keys(op, A, B, DEFAULT_PAIR_CAP)).values())
 
 
-def _lane(op, A, B, k, primes=_FINGERPRINT_PRIMES, block_pairs=None):
-    """_power_sum on inputs of any size (the lane threshold lowered to 0),
-    with the given fingerprint primes, and blocks of block_pairs pairs
-    where given."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
-        mp.setattr(setops, "_FINGERPRINT_PRIMES", primes)
-        if block_pairs is not None:
-            mp.setattr(setops, "_BLOCK_PAIRS", block_pairs)
-        return setops._power_sum(op, A, B, DEFAULT_PAIR_CAP, k)
-
-
 # The default block size, and blocks of 1 and 7 pairs: triangles that start
 # mid-block, and recounts of runs that span blocks.
 BLOCKS = (None, 1, 7)
 
 
-@pytest.fixture
-def python_route(monkeypatch):
-    """How often the Python route ran: the lane never calls _pair_keys."""
-    calls = []
-    kernel = setops._pair_keys
-
-    def spy(*args):
-        calls.append(args[0])
-        return kernel(*args)
-
-    monkeypatch.setattr(setops, "_pair_keys", spy)
-    return calls
-
-
-def _assert_lane_matches(A, B, primes=_FINGERPRINT_PRIMES, blocks=(None,)):
+def _assert_lane_matches(A, B, primes=None, blocks=(None,)):
     """Every op and k in KS, on A x B and on A x A (A is A: the halved count
-    over Z), with each block size in blocks.  Runs the oracle 24 times."""
+    over Z), on the forced lane with each block size in blocks; returns the
+    routes of the 24 len(blocks) counts, each one key pass or Python route."""
+    ran = Counter()
     for op in OPS:
         for k in KS:
             for X, Y in ((A, B), (A, A)):
                 expect = _oracle(op, X, Y, k)
                 for block_pairs in blocks:
-                    assert _lane(op, X, Y, k, primes, block_pairs) == expect, (op, k, X, Y, block_pairs)
+                    with counting_route("lane", block_pairs=block_pairs, primes=primes) as walks:
+                        assert setops._power_sum(op, X, Y, DEFAULT_PAIR_CAP, k) == expect, (op, k, X, Y, block_pairs)
+                    assert walks["_lane_power_sum"] <= HAVE_NUMPY and walks["_python_power_sum"] <= 1
+                    ran += walks
+    return ran
 
 
 _lane_ints = st.one_of(
@@ -551,10 +521,14 @@ def test_count_lane_matches_python_route(xs, ys, p, primes):
     # fingerprint runs that are recounted with their pair weights; in
     # blocks of the default size, and of 1 and 7 pairs.
     ring = Z if p is None else AmbientRing.prime_field(p)
-    _assert_lane_matches(FiniteSet.from_iterable(ring, xs), FiniteSet.from_iterable(ring, ys), primes, BLOCKS)
+    A, B = FiniteSet.from_iterable(ring, xs), FiniteSet.from_iterable(ring, ys)
+    ran = _assert_lane_matches(A, B, primes, BLOCKS)
+    # With numpy every sum and product of nonempty sets takes the key pass.
+    sums_and_prods = 2 * len(KS) * len(BLOCKS) * bool(A) * (1 + bool(B))
+    assert ran["_lane_power_sum"] >= sums_and_prods if HAVE_NUMPY else ran == {"_python_power_sum": 24 * len(BLOCKS)}
 
 
-def test_tiny_fingerprint_primes_are_recounted(python_route):
+def test_tiny_fingerprint_primes_are_recounted():
     # 70-bit values: every op over Z is fingerprinted.  Mod 101 and 103 the
     # 27 x 27 sums and products share keys that are not equal values, so
     # the count is right only because the repeated keys are recounted, in
@@ -564,33 +538,24 @@ def test_tiny_fingerprint_primes_are_recounted(python_route):
     B = zset(*(b for b in (rng.randint(-(2**70), 2**70) for _ in range(30)) if b % 101 and b % 103))
     for op in OPS:
         pairs = [(a, b) for a in A.elements for b in B.elements if op != RATIO or b]
-        prints = {tuple(_scalar_mod(op, a, b, q) for q in TINY_PRIMES) for a, b in pairs}
+        prints = {tuple(_scalar(op, q)(a, b) for q in TINY_PRIMES) for a, b in pairs}
         assert len(prints) < _oracle(op, A, B, 0)
-        for k in KS:
-            for X, Y in ((A, B), (A, A)):
-                del python_route[:]
-                expect = _oracle(op, X, Y, k)
-                for block_pairs in BLOCKS:
-                    assert _lane(op, X, Y, k, TINY_PRIMES, block_pairs) == expect, (op, k, block_pairs)
-                assert len(python_route) == 1 + len(BLOCKS) * (not HAVE_NUMPY)
+    n = 24 * len(BLOCKS)
+    assert _assert_lane_matches(A, B, TINY_PRIMES, BLOCKS) == (
+        {"_lane_power_sum": n, "recount": n} if HAVE_NUMPY else {"_python_power_sum": n})
 
 
-def _scalar_mod(op, a, b, q):
-    if op == RATIO:
-        return a * pow(b, -1, q) % q
-    return {SUM: a + b, DIFF: a - b, PROD: a * b}[op] % q
-
-
-def test_elements_divisible_by_a_fingerprint_prime(python_route):
+def test_elements_divisible_by_a_fingerprint_prime():
     q1, q2, q3 = _FINGERPRINT_PRIMES[:3]
     A = zset(0, q1, -q1 * 2**40, q2 * q3, 2**70 + 1, -(2**65))
     B = zset(q1 * 7, 3, -(2**66), q2, 2**64 + q1)
-    _assert_lane_matches(A, B)
-    # Every prime divides an element of C: no two are usable for ratios.
-    del python_route[:]
+    ran = _assert_lane_matches(A, B)
+    assert ran == ({"_lane_power_sum": 24, "recount": 12} if HAVE_NUMPY else {"_python_power_sum": 24})
+    # Every prime divides an element of C: no two serve ratios, so no key pass.
     C = zset(q1 * 2**40, q2, q3 * 5, 2**64 + 1)
-    assert _lane(RATIO, A, C, 0, primes=(q1, q2, q3)) == _oracle(RATIO, A, C, 0)
-    assert len(python_route) == 2
+    with counting_route("lane", primes=(q1, q2, q3)) as ran:
+        assert setops._power_sum(RATIO, A, C, DEFAULT_PAIR_CAP, 0) == _oracle(RATIO, A, C, 0)
+    assert ran == {"_python_power_sum": 1}
 
 
 def test_values_at_the_int64_edge():
@@ -604,17 +569,15 @@ def test_values_at_the_int64_edge():
     _assert_lane_matches(zset(2**31 - 1, -(2**31) + 1, 6), zset(2**31 - 2, 3, -4, 2**31 - 1))
 
 
-def test_prime_field_edge(python_route):
+def test_prime_field_edge():
     for p in (P31, P31_UP):
         ring = AmbientRing.prime_field(p)
         rng = random.Random(p)
         A = FiniteSet.from_iterable(ring, [0, 1, p - 1] + [rng.randrange(p) for _ in range(20)])
         B = FiniteSet.from_iterable(ring, [0, 2, p - 2] + [rng.randrange(p) for _ in range(20)])
-        del python_route[:]
-        _assert_lane_matches(A, B)
-        # The oracle runs every time; the lane's fallback only where the
-        # lane is out of reach.
-        assert len(python_route) == 24 * (1 + (p >= 2**31 or not HAVE_NUMPY))
+        # The lane keys residues mod 2^31 - 1; past 2^31 it is out of reach.
+        lane = HAVE_NUMPY and p < 2**31
+        assert _assert_lane_matches(A, B) == {"_lane_power_sum" if lane else "_python_power_sum": 24}, p
 
 
 def _kernel_keys(op, xs, ys, p, exact, rows=slice(None), cols=slice(None)):
@@ -665,63 +628,68 @@ def test_lane_fingerprints_of_sums_and_differences(monkeypatch, primes):
         assert len(set(zip(keys, prints))) == len(set(keys)) == len(set(prints)), op
 
 
-def test_colliding_big_ints_are_handed_over(python_route):
+def test_colliding_big_ints_are_handed_over():
     # Sums of an arithmetic progression: most pairs share their value, so
-    # most keys repeat and the Python route takes the input.
+    # most keys repeat and the Python route takes over after the key pass.
     A = zset(*(2**70 + 3 * k for k in range(30)))
-    for k in KS:
-        del python_route[:]
-        assert _lane(SUM, A, A, k) == _oracle(SUM, A, A, k)
-        assert len(python_route) == 2
-    assert _lane(SUM, A, A, 0) == 59
-    assert _lane(DIFF, A, zset(*A.elements), 0) == 59
+    for op, X, Y in ((SUM, A, A), (DIFF, A, zset(*A.elements))):
+        for k in KS:
+            with counting_route("lane") as ran:
+                got = setops._power_sum(op, X, Y, DEFAULT_PAIR_CAP, k)
+            assert got == _oracle(op, X, Y, k) and (k or got == 59), (op, k)
+            assert ran == Counter(_lane_power_sum=HAVE_NUMPY, _python_power_sum=1), (op, k)
 
 
-def test_interval_cube_counts_on_lane_a(python_route):
+def test_interval_cube_counts_on_lane_a():
     # {0..255}, the interval cube at d=8: every result fits an int64 and
     # most pairs repeat a value, so only exact keys count it on the lane.
     Q = enumerate_cube(_cube([2**j for j in range(8)]))
     n = len(Q)
     assert Q.elements == tuple(range(n)) and n * n >= _LANE_MIN_PAIRS
-    got = {(op, k): setops._power_sum(op, Q, Q, DEFAULT_PAIR_CAP, k) for op in OPS for k in (0, 2)}
-    assert len(python_route) == (not HAVE_NUMPY) * len(got)
+    with counting_route() as ran:
+        got = {(op, k): setops._power_sum(op, Q, Q, DEFAULT_PAIR_CAP, k) for op in OPS for k in (0, 2)}
+    assert ran == {"_lane_power_sum" if HAVE_NUMPY else "_python_power_sum": len(got)}
     assert got[SUM, 0] == got[DIFF, 0] == 2 * n - 1
     assert got[SUM, 2] == got[DIFF, 2] == (2 * n**3 + n) // 3
     for (op, k), value in got.items():
         assert value == _oracle(op, Q, Q, k), (op, k)
 
 
-def test_pairwise_size_takes_the_lane_from_the_threshold(python_route):
+def test_pairwise_size_takes_the_lane_from_the_threshold():
     # Products of distinct values: few keys repeat, so the lane keeps them.
     for d in (7, 8):
         Q = enumerate_cube(_cube([3**j for j in range(d)], a0=1))
-        del python_route[:]
-        size = pairwise_size(PROD, Q, Q)
+        with counting_route() as ran:
+            size = pairwise_size(PROD, Q, Q)
         assert size == len({a * b for a in Q.elements for b in Q.elements})
         lane = HAVE_NUMPY and len(Q) ** 2 >= _LANE_MIN_PAIRS
-        assert len(python_route) == (not lane), d
+        assert ran == {"_lane_power_sum" if lane else "_python_power_sum": 1}, d
 
 
-def test_mixed_sign_ratio_set_takes_the_lane(python_route):
+def test_mixed_sign_ratio_set_takes_the_lane():
     # Both signs: pairwise_size counts all of Q x Q, on the lane when numpy
-    # is installed.
+    # is installed, which recounts the fingerprints of the 200 a / a = 1.
     rng = random.Random(11)
     Q = zset(*(rng.randint(-(2**40), 2**40) for _ in range(200)))
     assert Q.elements[0] < 0 < Q.elements[-1] and len(Q) ** 2 >= _LANE_MIN_PAIRS
-    del python_route[:]
-    assert pairwise_size(RATIO, Q, Q) == len(_brute_force_counts(RATIO, Q, Q))
-    assert len(python_route) == (not HAVE_NUMPY)
+    with counting_route() as ran:
+        assert pairwise_size(RATIO, Q, Q) == len(_brute_force_counts(RATIO, Q, Q))
+    assert ran == ({"_lane_power_sum": 1, "recount": 1} if HAVE_NUMPY else {"_python_power_sum": 1})
 
 
-def test_sizes_without_numpy(monkeypatch):
+def test_sizes_without_numpy():
     cubes = [
         enumerate_cube(_cube([3**j for j in range(8)])),
         enumerate_cube(_cube([2**40 + 7**j for j in range(8)], a0=-(2**39))),
         enumerate_cube(CubeSpec(F10007, 1, (2, 3, 5, 7, 11, 13, 17, 19), (0, 1), MULTIPLICATIVE)),
     ]
-    sizes = [pairwise_size(op, Q, Q) for Q in cubes for op in OPS]
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    assert [pairwise_size(op, Q, Q) for Q in cubes for op in OPS] == sizes
+    with counting_route() as lane:
+        sizes = [pairwise_size(op, Q, Q) for Q in cubes for op in OPS]
+    with counting_route("python") as python:
+        assert [pairwise_size(op, Q, Q) for Q in cubes for op in OPS] == sizes
+    # The mixed-sign ratios of the 2^40 cube recount their fingerprints.
+    assert lane == ({"_lane_power_sum": 12, "recount": 1} if HAVE_NUMPY else {"_python_power_sum": 12})
+    assert python == {"_python_power_sum": 12}
 
 
 @_NEEDS_NUMPY
@@ -767,7 +735,7 @@ def test_product_set_sizes_of_intervals():
 
 @pytest.mark.parametrize("size", [20, 200], ids=["python_route", "lane"])
 @pytest.mark.parametrize("bits", [8, 70])
-def test_power_sum_seam_counts_every_pair(python_route, size, bits):
+def test_power_sum_seam_counts_every_pair(size, bits):
     # k = 1 counts every pair once, with the pairs' weights under the
     # same-operand halving; Cauchy-Schwarz ties k = 0, 1 and 2 together.
     # 200 x 200 pairs take the lane when numpy is installed.
@@ -777,14 +745,16 @@ def test_power_sum_seam_counts_every_pair(python_route, size, bits):
         while len(X) < size:
             X.add(rng.randint(-(2**bits), 2**bits))
     A, B = zset(*A), zset(*B)
-    for op in OPS:
-        for X, Y in ((A, B), (A, A), (B, B)):
-            pairs = len(X) * (len(Y) - (op == RATIO and 0 in Y))
-            s0, s1, s2 = (setops._power_sum(op, X, Y, DEFAULT_PAIR_CAP, k) for k in (0, 1, 2))
-            assert s1 == pairs, (op, X is Y)
-            assert s1 * s1 <= s0 * s2, (op, X is Y)
+    with counting_route() as ran:
+        for op in OPS:
+            for X, Y in ((A, B), (A, A), (B, B)):
+                pairs = len(X) * (len(Y) - (op == RATIO and 0 in Y))
+                s0, s1, s2 = (setops._power_sum(op, X, Y, DEFAULT_PAIR_CAP, k) for k in (0, 1, 2))
+                assert s1 == pairs, (op, X is Y)
+                assert s1 * s1 <= s0 * s2, (op, X is Y)
     lane = HAVE_NUMPY and size * size >= _LANE_MIN_PAIRS
-    assert len(python_route) == (not lane) * len(OPS) * 3 * 3
+    del ran["recount"]  # the 70-bit ratios of a set with both signs recount a / a = 1
+    assert ran == {"_lane_power_sum" if lane else "_python_power_sum": len(OPS) * 3 * 3}
 
 
 # --- the count map: folds, and ratio keys of rationals --------------------
@@ -800,23 +770,18 @@ def _convolved(A, op, k):
     return dict(zip(keys, counts))
 
 
-def _fold(A, op, k, lane_min_pairs=0, block_pairs=None, cap=DEFAULT_PAIR_CAP):
-    """_fold_counts as a dict of Python ints, with the lane threshold and the
-    count map's block size set as given; and whether the oracle's steps ran."""
-    calls = []
-    oracle = setops._convolve_counts
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(setops, "_LANE_MIN_PAIRS", lane_min_pairs)
-        if block_pairs is not None:
-            mp.setattr(setops, "_BLOCK_PAIRS", block_pairs)
-        mp.setattr(setops, "_convolve_counts",
-                   lambda ring, keys, counts, values, op: calls.append(1) or oracle(ring, keys, counts, values, op))
-        keys, counts = setops._fold_counts(A, op, k, cap)
-    if not isinstance(keys, list):
-        keys, counts = keys.tolist(), counts.tolist()
+def _fold(A, op, k, force="lane", block_pairs=None):
+    """_fold_counts as a dict of Python ints, on the route forced, with the
+    count map's block size set where given; and the routes of its steps."""
+    with counting_route(force, block_pairs=block_pairs) as ran:
+        keys, counts = setops._as_lists(*setops._fold_counts(A, op, k, DEFAULT_PAIR_CAP))
     assert keys == sorted(keys)
     assert all(type(x) is int for x in keys + counts)
-    return dict(zip(keys, counts)), bool(calls)
+    return dict(zip(keys, counts)), ran
+
+
+def _steps(lane, n):
+    return Counter({"_lane_map" if lane else "_convolve_counts": n})
 
 
 @settings(max_examples=120, deadline=None)
@@ -831,9 +796,9 @@ def test_fold_lane_matches_convolution(ring, xs, op, k, block_pairs):
     # Negatives and 0 over Z, residues over F_3, F_13 and F_101; blocks of a
     # single row up to the whole map, so that several blocks merge.
     A = FiniteSet.from_iterable(ring, xs)
-    got, python_route = _fold(A, op, k, block_pairs=block_pairs)
+    got, ran = _fold(A, op, k, block_pairs=block_pairs)
     assert got == _convolved(A, op, k)
-    assert python_route == (k > 1 and not HAVE_NUMPY)
+    assert ran == _steps(HAVE_NUMPY, k - 1)
     mode = ADDITIVE if op == SUM else MULTIPLICATIVE
     assert energy_tk(mode, A, k).value == sum(c * c for c in got.values())
 
@@ -842,9 +807,9 @@ def test_fold_lane_from_the_threshold():
     # 181^2 pairs fall short of _LANE_MIN_PAIRS and 182^2 reach it.
     for n in (181, 182):
         A = zset(*range(-90, n - 90))
-        got, python_route = _fold(A, SUM, 2, lane_min_pairs=_LANE_MIN_PAIRS)
+        got, ran = _fold(A, SUM, 2, force=None)
         assert got == _convolved(A, SUM, 2)
-        assert python_route == (n * n < _LANE_MIN_PAIRS or not HAVE_NUMPY)
+        assert ran == _steps(HAVE_NUMPY and n * n >= _LANE_MIN_PAIRS, 1), n
 
 
 def test_fold_lane_hands_over_past_its_bounds():
@@ -858,24 +823,22 @@ def test_fold_lane_hands_over_past_its_bounds():
         (zset(2**62, 2**62 - 1, -3), SUM, 2),
         (zset(2**21, 3, -(2**21)), PROD, 3),
     ]
-    for A, op, k in cases:
-        got, python_route = _fold(A, op, k)
-        assert python_route, (A.elements, op, k)
-        assert got == _convolved(A, op, k)
     # Just inside the bounds the count map runs: residues mod 2^31 - 1 too.
     P = AmbientRing.prime_field(P31)
-    for A, op, k in [(FiniteSet.from_iterable(P, [0, 1, P31 - 1, 2**30, 12345]), SUM, 3),
-                     (FiniteSet.from_iterable(P, [1, 2, P31 - 2, 2**30 + 7]), PROD, 3),
-                     (zset(-10, 10), SUM, 61), (zset(2**61, -(2**61), 1), SUM, 3), (zset(2**21 - 1, -5), PROD, 3)]:
-        got, python_route = _fold(A, op, k)
-        assert python_route == (not HAVE_NUMPY), (A.elements, op, k)
+    inside = [(FiniteSet.from_iterable(P, [0, 1, P31 - 1, 2**30, 12345]), SUM, 3),
+              (FiniteSet.from_iterable(P, [1, 2, P31 - 2, 2**30 + 7]), PROD, 3),
+              (zset(-10, 10), SUM, 61), (zset(2**61, -(2**61), 1), SUM, 3), (zset(2**21 - 1, -5), PROD, 3)]
+    for A, op, k in cases + inside:
+        got, ran = _fold(A, op, k)
+        assert ran == _steps(HAVE_NUMPY and (A, op, k) in inside, k - 1), (A.elements, op, k)
         assert got == _convolved(A, op, k)
-    # Counts past 2^62 stay exact: the central binomial count of {-10, 10}.
+    # Counts past 2^62 stay exact: the central binomial count of {-10, 10},
+    # whose 2^100 tuples take the oracle's steps and 2^30 the count map.
     ten = FiniteSet.from_iterable(AmbientRing.integers(magnitude_cap=1000), [-10, 10])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
-        assert energy_tk(ADDITIVE, ten, 100).value == math.comb(200, 100)
-        assert energy_tk(ADDITIVE, ten, 30).value == math.comb(60, 30)
+    for k, lane in ((100, False), (30, HAVE_NUMPY)):
+        with counting_route("lane") as ran:
+            assert energy_tk(ADDITIVE, ten, k).value == math.comb(2 * k, k)
+        assert ran == _steps(lane, k - 1), k
 
 
 @pytest.mark.parametrize("route", ["lane", "python"])
@@ -884,13 +847,10 @@ def test_fold_lane_keeps_the_caps(route):
     # map and on the oracle's steps (numpy hidden).
     tight = AmbientRing.integers(magnitude_cap=1000)
     A = FiniteSet.from_iterable(tight, [7, 9, 11, 13])
-    with pytest.MonkeyPatch.context() as mp:
-        if route == "python":
-            mp.setitem(sys.modules, "numpy", None)
-        got, python_route = _fold(A, PROD, 2)
-        assert got == _convolved(A, PROD, 2)
-        assert python_route == (route == "python" or not HAVE_NUMPY)
-        mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
+    got, ran = _fold(A, PROD, 2, force=route)
+    lane = HAVE_NUMPY and route == "lane"
+    assert got == _convolved(A, PROD, 2) and ran == _steps(lane, 1)
+    with counting_route(route) as ran:
         with pytest.raises(CapExceededError, match="magnitude"):
             setops._fold_counts(A, PROD, 3, DEFAULT_PAIR_CAP)
         # 2A reaches -800 at its low end, so 3A would reach -1200.
@@ -899,6 +859,8 @@ def test_fold_lane_keeps_the_caps(route):
         with pytest.raises(CapExceededError, match="pair cap"):
             setops._fold_counts(zset(*range(10)), SUM, 3, 99)
         assert len(setops._fold_counts(zset(*range(10)), SUM, 3, 190)[0]) == 28
+    # One step before each magnitude error, and two in the fold that passes.
+    assert ran == _steps(lane, 4)
 
 
 _ratio_values = st.one_of(

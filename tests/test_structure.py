@@ -3,14 +3,12 @@ floor for subsets of cubes, the Hoelder chain, projection bounds for
 k-fold sumsets, and shifted intersections of ratio sets."""
 
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
 
-from cubelab import setops
 from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet, enumerate_cube
 from cubelab.numeric import AmbientRing, CapExceededError
 from cubelab.setops import DIFF, PROD, SUM, pairwise_set
@@ -23,6 +21,7 @@ from cubelab.structure import (
     sd_popularity_ok,
     shifted_intersection_count,
 )
+from routes import HAVE_NUMPY, counting_route
 
 Z = AmbientRing.integers()
 F11 = AmbientRing.prime_field(11)
@@ -91,77 +90,63 @@ def test_sd_random_cubes():
         assert dec.sizes_ok()
 
 
-def _sd_routes(spec):
-    """sd_decompose, coverage_ok and sd_popularity_ok (None where the cube is
-    not proper), on the count map (numpy, any size, blocks of 7 pairs so
-    that several merge) and on the Counter route."""
-    results = []
-    for lane in (True, False):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
-            mp.setattr(setops, "_BLOCK_PAIRS", 7)
-            if not lane:
-                mp.setitem(sys.modules, "numpy", None)
-            dec = sd_decompose(spec)
-            proper = len(dec.cube_set) == 2**spec.dimension
-            results.append((dec, dec.coverage_ok(), sd_popularity_ok(spec) if proper else None))
-    return results
+def _split_walks(lane, folds, pair_walks):
+    """What the split's one-step folds and pair walks run; a pair walk is seen
+    only on the lane, where it walks the sum and the difference kernels."""
+    return {"_lane_map": folds, "_least_pair_count": 2 * pair_walks} if lane else {"_convolve_counts": folds}
 
 
 @pytest.mark.parametrize("ring", [Z, F101, AmbientRing.prime_field(2**31 - 1)], ids=["Z", "F101", "F_2^31-1"])
 def test_sd_count_map_matches_counters(ring):
+    # sd_decompose, coverage_ok and sd_popularity_ok (if proper) on the lane
+    # (blocks of 7 pairs, so that several merge) and on the Python route.
     rng = random.Random(ring.modulus or 0)
     specs = [cube([1, 4], ring=ring), cube([], a0=3, ring=ring), cube([1, 2, 3], ring=ring)]
     hi = 2**40 if ring.modulus is None else ring.modulus - 1
     for _ in range(12):
         d = rng.randint(1, 7)
         specs.append(cube([rng.randint(1, hi) for _ in range(d)], a0=rng.randint(-hi, hi), ring=ring))
-    specs.append(cube([2**61, 3, 2**60], a0=-(2**62), ring=ring))  # sums reach -2^63 over Z
-    for spec in specs:
-        lane, python = _sd_routes(spec)
-        assert lane == python, spec
-        assert lane[1]
+    edge = cube([2**61, 3, 2**60], a0=-(2**62), ring=ring)  # over Z, sums reach -2^63
+    for spec in specs + [edge]:
+        results = []
+        for force in ("lane", "python"):
+            with counting_route(force, block_pairs=7) as ran:
+                dec = sd_decompose(spec)
+                proper = len(dec.cube_set) == 2**spec.dimension
+                results.append((dec, dec.coverage_ok(), sd_popularity_ok(spec) if proper else None))
+            lane = HAVE_NUMPY and force == "lane" and (spec is not edge or ring.modulus)
+            assert ran == _split_walks(lane, 2 + 2 * proper, 1 + proper), (spec, force)
+        assert results[0] == results[1], spec
+        assert results[0][1]
 
 
 def test_sd_coverage_failure_on_both_routes():
-    # Without its most popular difference, 0, the pairs (b, b) are covered
-    # only if 2b is a popular sum: here it is not for b = 0.
-    spec = cube([1, 10, 100])
-    for lane in (True, False):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
-            if not lane:
-                mp.setitem(sys.modules, "numpy", None)
-            dec = sd_decompose(spec)
-            assert dec.coverage_ok()
-            no_zero = FiniteSet(Z, tuple(x for x in dec.diffs.elements if x))
-            assert not replace(dec, diffs=no_zero).coverage_ok()
+    # Over Z, without its most popular difference, 0, the pairs (b, b) are
+    # covered only if 2b is a popular sum: here it is not for b = 0.
     # An empty S or D looks up 0 for every value: the other set alone covers
     # when it holds every sum (or difference), and two empty sets cover nothing.
-    for ring, lane in iter_product((Z, F101), (True, False)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
-            if not lane:
-                mp.setitem(sys.modules, "numpy", None)
+    for ring, force in iter_product((Z, F101), ("lane", "python")):
+        with counting_route(force) as ran:
             dec = sd_decompose(cube([1, 10, 100], ring=ring))
             Q, empty = dec.cube_set, FiniteSet(ring, ())
+            no_zero = FiniteSet(ring, tuple(x for x in dec.diffs.elements if x))
+            assert dec.coverage_ok() and (ring is not Z or not replace(dec, diffs=no_zero).coverage_ok())
             assert replace(dec, sums=pairwise_set(SUM, Q, Q), diffs=empty).coverage_ok()
             assert replace(dec, sums=empty, diffs=pairwise_set(DIFF, Q, Q)).coverage_ok()
             assert not replace(dec, sums=empty, diffs=empty).coverage_ok()
+        assert ran == _split_walks(HAVE_NUMPY and force == "lane", 2, 4 + (ring is Z)), (ring, force)
 
 
 @pytest.mark.parametrize("route", ["lane", "python"])
 def test_sd_split_keeps_the_magnitude_cap(route):
     # The cube reaches 511, so Q + Q reaches 1022, past the cap; the magnitude
-    # rule bounds Q - Q by the same 511 + 511.
+    # rule bounds Q - Q by the same 511 + 511.  It is checked before any step.
     spec = CubeSpec(AmbientRing.integers(magnitude_cap=1000), 0, (1, 10, 100, 400), (0, 1))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(setops, "_LANE_MIN_PAIRS", 0)
-        if route == "python":
-            mp.setitem(sys.modules, "numpy", None)
+    with counting_route(route) as ran:
         for check in (sd_decompose, sd_popularity_ok):
             with pytest.raises(CapExceededError, match="magnitude"):
                 check(spec)
+    assert not ran
 
 
 def test_sd_rejects_higher_digits():
