@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .cube import ADDITIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
 from .numeric import RATIO, SUM, mode_ops
@@ -164,13 +163,6 @@ def partition_count(k: int, h: int, m: int) -> int:
         term = math.comb(k, j) * math.comb(n, k - 1)
         total += -term if j % 2 else term
     return total
-
-
-def partition_count_by_enumeration(k: int, h: int, m: int) -> int:
-    """Same count by walking all (h+1)^k digit tuples; the independent oracle."""
-    if k < 1 or h < 1:
-        raise ValueError("k and h must be at least 1")
-    return sum(1 for t in iter_product(range(h + 1), repeat=k) if sum(t) == m)
 
 
 def tk_closed_form(k: int, h: int, d: int) -> int:

@@ -353,7 +353,8 @@ def expand_campaign(config: dict) -> list[dict]:
     """The full deterministic task list for a campaign config.
 
     Each task holds its cube, drawn here once, inside the spec of the
-    record it will produce, so its key is known before it runs.
+    record it will produce, and that record's key; a repeated entry of the
+    config gives the first task of its key only.
     """
     _check(config, _CONFIG_SCHEMA, "campaign config")
     if "genDistribution" in config:  # only a missing key means the default; a null is an error
@@ -369,7 +370,7 @@ def expand_campaign(config: dict) -> list[dict]:
     rings = [AmbientRing.integers()] if config.get("includeIntegers", True) else []
     rings += [AmbientRing.prime_field(p) for p in config.get("pList", [])]
     draw = random_proper_cube if config.get("properOnly", False) else random_cube
-    tasks: list[dict] = []
+    tasks: dict[str, dict] = {}
     for kind in config.get("experiments", []):
         if kind not in _KIND_MODES:
             raise ValueError(f"unknown experiment {kind!r}")
@@ -387,8 +388,10 @@ def expand_campaign(config: dict) -> list[dict]:
                     for seed in seeds:
                         cube = draw(ring, d, h, mode, config.get("genDistribution"), seed)
                         spec = {"cube": cube.to_json_dict(), **extra}
-                        tasks.append({"kind": kind, "d": d, "seed": seed, "spec": spec, "caps": caps})
-    return tasks
+                        key = record_key(kind, spec, seed)
+                        tasks.setdefault(key, {"kind": kind, "d": d, "seed": seed, "spec": spec, "caps": caps,
+                                               "key": key})
+    return list(tasks.values())
 
 
 def run_task(task: dict) -> ExperimentRecord:
@@ -434,7 +437,8 @@ def _records(todo: list[dict], jobs: int):
     if jobs <= 1 or len(todo) <= 1:
         yield from map(run_task, todo)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The fork start method forks every worker at the first submit, so the pool is no larger than the work.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
         try:
             yield from pool.map(run_task, todo)
         except BaseException as exc:
@@ -455,7 +459,7 @@ def run_campaign(config: dict, log_path, jobs: int = 1) -> list[ExperimentRecord
     path = Path(log_path)
     previous, kept = _read_log(path)
     done = {r.key for r in previous}
-    todo = [t for t in expand_campaign(config) if record_key(t["kind"], t["spec"], t["seed"]) not in done]
+    todo = [t for t in expand_campaign(config) if t["key"] not in done]
     path.parent.mkdir(parents=True, exist_ok=True)
     records = []
     with path.open("ab") as fh:

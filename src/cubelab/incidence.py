@@ -34,7 +34,7 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     """y = a x + b, or the vertical x = a."""
 
@@ -62,17 +62,9 @@ class LineSet:
     @classmethod
     def from_lines(cls, p: int, lines) -> "LineSet":
         _require_prime(p)
-        canonical = []
-        seen = set()
-        for line in lines:
-            if line.vertical:
-                key = (True, line.a % p, 0)
-            else:
-                key = (False, line.a % p, line.b % p)
-            if key not in seen:
-                seen.add(key)
-                canonical.append(Line(key[0], key[1], key[2]))
-        return cls(p, tuple(canonical))
+        # A canonical line is its own key: the first copy of each is kept.
+        canonical = (Line(True, ln.a % p) if ln.vertical else Line(False, ln.a % p, ln.b % p) for ln in lines)
+        return cls(p, tuple(dict.fromkeys(canonical)))
 
     @classmethod
     def all_lines(cls, p: int) -> "LineSet":
@@ -139,7 +131,7 @@ def grid_line_main(n_a: int, n_b: int, n_lines: int, p: int) -> float:
     return n_a * n_b * n_lines / p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Plane:
     """a x + b y + c z = e with (a, b, c) scaled so its first nonzero
     coefficient is 1."""
@@ -170,8 +162,7 @@ class PlaneSet:
     @classmethod
     def from_coefficients(cls, p: int, rows) -> "PlaneSet":
         _require_prime(p)
-        return cls(p, tuple(sorted({canonical_plane(a, b, c, e, p) for a, b, c, e in rows},
-                                   key=lambda q: (q.a, q.b, q.c, q.e))))
+        return cls(p, tuple(sorted({canonical_plane(a, b, c, e, p) for a, b, c, e in rows})))
 
     def __len__(self) -> int:
         return len(self.planes)

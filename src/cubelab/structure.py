@@ -21,6 +21,7 @@ from .cube import (
     CubeSpec,
     FiniteSet,
     enumerate_cube,
+    symmetry_witness,
 )
 from .energy import energy_pair
 from .numeric import DIFF, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, _scalar_op, mode_ops
@@ -89,21 +90,17 @@ def _require_height1(spec: CubeSpec) -> None:
         raise ValueError("decomposition needs height-1 digits {0, 1}")
 
 
-def _sum_diff_maps(Q: FiniteSet):
-    """r_{Q+Q} and r_{Q-Q}, each as setops' fold gives it: (values
-    ascending, counts), two int64 arrays or two lists."""
-    return [_fold_counts(Q, op, 2, DEFAULT_PAIR_CAP) for op in (SUM, DIFF)]
-
-
 def sd_decompose(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> SDDecomposition:
     _require_height1(spec)
     q_set = enumerate_cube(spec, cap=cap)
     q = len(q_set)
-    popular = [[x for x, c in zip(*_as_lists(*r)) if c * c >= q] for r in _sum_diff_maps(q_set)]
+    sums = [x for x, c in zip(*_as_lists(*_fold_counts(q_set, SUM, 2, DEFAULT_PAIR_CAP))) if c * c >= q]
+    # Q = w - Q, so b1 - b2 = b1 + (w - b2) - w: r_{Q-Q}(x) = r_{Q+Q}(x + w).
+    w = symmetry_witness(spec)
     return SDDecomposition(
         cube_set=q_set,
-        sums=FiniteSet(spec.ring, tuple(popular[0])),
-        diffs=FiniteSet(spec.ring, tuple(popular[1])),
+        sums=FiniteSet(spec.ring, tuple(sums)),
+        diffs=FiniteSet.from_iterable(spec.ring, (s - w for s in sums)),
         threshold=sqrt(q),
     )
 
@@ -115,7 +112,7 @@ def sd_popularity_ok(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> bool:
     q_set = enumerate_cube(spec, cap=cap)
     if len(q_set) != len(spec.digits) ** spec.dimension:
         raise ValueError("the pointwise popularity bound is stated for proper cubes")
-    least = _least_pair_count(q_set, *_sum_diff_maps(q_set))
+    least = _least_pair_count(q_set, *(_fold_counts(q_set, op, 2, DEFAULT_PAIR_CAP) for op in (SUM, DIFF)))
     return least * least >= 4 * len(q_set)
 
 

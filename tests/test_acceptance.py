@@ -28,7 +28,6 @@ from cubelab.energy import (
     energy_pair,
     energy_tk,
     partition_count,
-    partition_count_by_enumeration,
     tk_closed_form,
 )
 from cubelab.experiments import (
@@ -53,6 +52,7 @@ from cubelab.structure import (
     olmezov_sides,
     sd_decompose,
 )
+from test_energy import partition_count_by_enumeration
 
 Z = AmbientRing.integers()
 FLOOR = Fraction(6, 5)

@@ -162,6 +162,7 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     files = {
         "spec.json": {"ring": {"kind": "integers"}, "generators": [1, 4], "digits": [0, 1], "mode": "additive"},
         "inst.json": {"p": 5, "lines": []},
+        "points.json": {"p": 5, "points": [[1, 2]]},
         "list.json": [1, 2],
         "improper.json": {
             "experiments": ["growth_additive"],
@@ -194,6 +195,10 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     (tmp_path / "log.jsonl").write_text(json.dumps(record) + "\n")
     for argv, says in [
         (["cube", "gen", "--spec", "spec.json"], "a0"),
+        (["cube", "gen"], "need --gens or --spec"),
+        (["cube", "gen", "--gens", "1,4", "--h", "2", "--digits", "0,1"], "mutually exclusive"),
+        (["incidence", "2d", "points.json"], "no lines"),
+        (["incidence", "3d", "points.json"], "no planes"),
         (["incidence", "2d", "inst.json"], "points"),
         (["setop", "sum", "--ring", "fp", "--p", "7", "half.txt"], "fraction"),
         (["setop", "sum", "missing.txt"], "missing.txt"),
@@ -329,6 +334,12 @@ def test_check_failure_exit_1(tmp_path, monkeypatch, capsys):
     a.write_text("0\n1\n4\n5\n")
     code, out, err = run_cli(capsys, "energy", str(a))
     assert code == 1 and out == "" and err.startswith("check failed:"), err
+    # So does a disagreement of the op and inverse routes, checked before the brute force.
+    monkeypatch.undo()
+    power_sum = energy_mod._power_sum
+    monkeypatch.setattr(energy_mod, "_power_sum", lambda op, *args: power_sum(op, *args) + (op == "diff"))
+    code, out, err = run_cli(capsys, "energy", str(a))
+    assert code == 1 and out == "" and "sum and diff energy routes disagree" in err, err
 
 
 def test_console_script_entry_point():

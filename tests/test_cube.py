@@ -74,6 +74,10 @@ def test_spec_validation():
         cube([0, 4])
     with pytest.raises(ValueError):
         cube([2, 3], a0=0, mode=MULTIPLICATIVE)
+    with pytest.raises(ValueError, match="generators must be nonzero"):
+        cube([2, 0], a0=1, mode=MULTIPLICATIVE)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FiniteSet(Z, (4, 1))
     with pytest.raises(ValueError):
         cube([2, 3], a0=1, digits=(0, 1, 2), mode=MULTIPLICATIVE)
 

@@ -201,6 +201,45 @@ def test_expand_campaign_task_count():
         expand_campaign({"experiments": ["nope"]})
 
 
+def test_repeated_config_entries_run_each_task_once(tmp_path):
+    # Repeated experiments, seeds and primes draw the same cubes: each key is one task and one record.
+    twice = {"experiments": ["growth_additive", "growth_additive"], "dRange": [2, 2], "seeds": [0, 0],
+             "pList": [101, 101], "includeIntegers": False}
+    once = dict(twice, experiments=["growth_additive"], seeds=[0], pList=[101])
+    tasks = expand_campaign(twice)
+    assert tasks == expand_campaign(once) and len(tasks) == 1
+    assert tasks[0]["key"] == record_key(tasks[0]["kind"], tasks[0]["spec"], tasks[0]["seed"])
+    records = run_campaign(twice, tmp_path / "log.jsonl")
+    assert [r.key for r in load_log(tmp_path / "log.jsonl")] == [r.key for r in records] == [tasks[0]["key"]]
+
+
+class _InlinePool:
+    """ProcessPoolExecutor's stand-in: records max_workers, runs in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_campaign_pool_is_no_larger_than_its_tasks(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    small = dict(CONFIG, experiments=["growth_additive"], seeds=[0], pList=[])
+    assert len(run_campaign(small, tmp_path / "a.jsonl", jobs=8)) == 2
+    assert len(run_campaign(dict(small, dRange=[2, 4]), tmp_path / "b.jsonl", jobs=2)) == 3
+    assert _InlinePool.sizes == [2, 2]
+
+
 def test_expand_campaign_rejects_values_of_the_wrong_type():
     # caps 5, seeds ["x"] and dRange [2] are among the CLI's usage errors.
     for key, value in [("caps", {"pair": "x"}), ("seeds", [True]), ("hRange", [1, 2, 3]), ("pList", ["101"]),

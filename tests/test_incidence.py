@@ -76,10 +76,20 @@ def test_count_against_parametrized_recount():
 
 
 def test_line_dedup_and_normalization():
-    lines = LineSet.from_lines(5, [Line(False, 7, 9), Line(False, 2, 4), Line(True, 6), Line(True, 1)])
-    assert len(lines) == 2
+    lines = LineSet.from_lines(5, [Line(False, 7, 9), Line(False, 2, 4), Line(True, 6, 3), Line(True, 1)])
+    # The first copy of each line is kept, reduced mod p, and a vertical line drops its b.
+    assert lines.lines == (Line(False, 2, 4), Line(True, 1))
     points = normalize_points_2d(5, [(6, 7), (1, 2), (1, 2)])
     assert points == ((1, 2),)
+
+
+def test_lines_and_planes_are_slotted_records():
+    # All lines at p = 1021 build a million of them: a per-instance __dict__
+    # would be most of that run's memory.
+    for record in (Line(False, 1, 2), Plane(1, 0, 0, 3)):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.a = 0
 
 
 def test_szt_rhs_values():
@@ -152,7 +162,7 @@ def test_plane_canonicalization():
     p = 7
     assert canonical_plane(2, 4, 6, 3, p) == canonical_plane(1, 2, 3, 5, p)
     planes = PlaneSet.from_coefficients(p, [(2, 4, 6, 3), (1, 2, 3, 5), (0, 3, 1, 0)])
-    assert len(planes) == 2
+    assert planes.planes == (Plane(0, 1, 5, 0), Plane(1, 2, 3, 5))
     with pytest.raises(ValueError):
         canonical_plane(0, 0, 7, 1, p)
 

@@ -52,6 +52,8 @@ def test_ring_validation():
         AmbientRing("integers", modulus=7)
     with pytest.raises(ValueError):
         AmbientRing("gaussian")
+    with pytest.raises(ValueError, match="too small"):
+        AmbientRing.integers(magnitude_cap=1)
     assert AmbientRing.prime_field(7).is_field
     assert not AmbientRing.integers().is_field
 

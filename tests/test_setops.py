@@ -200,6 +200,9 @@ def test_pair_cap_raises():
         pairwise(SUM, A, A, cap=99)
     with pytest.raises(CapExceededError):
         pairwise_size(RATIO, A, A, cap=99)
+    # The op is checked with the cap, before any pair is formed.
+    with pytest.raises(ValueError, match="unknown pairwise op"):
+        pairwise("pow", A, A)
 
 
 def test_magnitude_cap_in_products():
