@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import ADDITIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
-from .numeric import RATIO, SUM, mode_ops
+from .numeric import _MAX_BITS, RATIO, SUM, CapExceededError, mode_ops
 from .setops import DEFAULT_PAIR_CAP, _count_power_sum, _fold_counts, _power_sum
 
 BRUTE_FORCE_THRESHOLD = 10**4
@@ -129,6 +129,9 @@ def energy_k(mode: str, A: FiniteSet, k: int, *, cap: int = DEFAULT_PAIR_CAP) ->
     inverse = mode_ops(mode)[1]
     if inverse == RATIO and 0 in A:
         raise ValueError("multiplicative k-energy needs 0 outside the set")
+    # E_k >= |A|^k, refused before any count past _MAX_BITS; a singleton's is 1.
+    if len(A) > 1 and k * math.log2(len(A)) > _MAX_BITS:
+        raise CapExceededError(f"|A|^k = {len(A)}^{k} exceeds {_MAX_BITS} bits")
     value = _power_sum(inverse, A, A, cap, k)
     return EnergyReport(kind="ek", k=k, value=value, inputs=(f"A[{len(A)}]",), method="convolution")
 
@@ -138,6 +141,9 @@ def energy_tk(mode: str, A: FiniteSet, k: int, *, cap: int = DEFAULT_PAIR_CAP) -
     T_2 is the pair energy, counted on the seam; k >= 3 folds r_{kA}."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    # T_k >= |A|^k, and its fold walks k - 1 steps: both are capped by _MAX_BITS.
+    if k * max(1, math.log2(max(len(A), 1))) > _MAX_BITS:
+        raise CapExceededError(f"T_k of {len(A)} elements at k = {k} exceeds {_MAX_BITS} bits or steps")
     op = mode_ops(mode)[0]
     if k == 2:
         value = _power_sum(op, A, A, cap, 2)
@@ -220,12 +226,13 @@ def cube_energy_bounds(spec: CubeSpec, k: int, *, cap: int = DEFAULT_ENUM_CAP) -
     h = spec.height
     d = spec.dimension
     q = len(enumerate_cube(spec, cap=cap))
-    kq_upper = _round_up(q ** math.log(k * h + 1, h + 1))
-    tk_floor = _round_down(q ** (2 * k - 1 - math.log2(k) / 2)) if h == 1 else None
-    ek_floor = _round_down(q ** (k + 2.0**-k)) if h == 1 else None
-    energy_h_floor = _round_down(
-        q ** (k + h ** (k + 1) / ((k + 1) * (h + 1) ** k * math.log(h + 1)))
-    )
+    try:
+        kq_upper = _round_up(q ** math.log(k * h + 1, h + 1))
+        tk_floor = _round_down(q ** (2 * k - 1 - math.log2(k) / 2)) if h == 1 else None
+        ek_floor = _round_down(q ** (k + 2.0**-k)) if h == 1 else None
+        energy_h_floor = _round_down(q ** (k + h ** (k + 1) / ((k + 1) * (h + 1) ** k * math.log(h + 1))))
+    except OverflowError:
+        raise CapExceededError(f"the bounds at k = {k} leave the float range") from None
     return CubeEnergyBounds(
         k=k,
         dimension=d,

@@ -43,6 +43,9 @@ _ARITH = {SUM: add, DIFF: sub, PROD: mul}
 # Generous default: multiplicative cubes over Z with a couple dozen
 # moderate generators stay well inside this.
 DEFAULT_MAGNITUDE_CAP = 1 << 512
+# The bits an exact count or side may need before it is refused: 14000 bits
+# stay under the 4300 digits Python prints.
+_MAX_BITS = 14000
 
 
 class CapExceededError(RuntimeError):

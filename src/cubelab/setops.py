@@ -41,10 +41,10 @@ a count map, _lane_map: sorted unique int64 values with int64 counts,
 built from blocks of rows that are sorted and merged in.  It folds r_{kA}
 for energy_tk (k >= 3) and iterate_sum: _fold_counts has one step loop,
 each step either the count map or _convolve_counts, the oracle, and both
-give the keys ascending.  At k = 2 it takes diff too: r_{Q+Q} and r_{Q-Q}
-of the popular sum/difference split, whose checks walk the pairs of Q in
-_least_pair_count.  It takes int sets whose results fit an int64 (or F_p
-with p < 2^31) and, for a fold, fewer than 2^62 k-tuples.
+give the keys ascending.  At k = 2 it gives r_{Q+Q} of the popular
+sum/difference split, whose checks walk the pairs of Q in _least_pair_count.
+It takes int sets whose results fit an int64 (or F_p with p < 2^31) and,
+for a fold, fewer than 2^62 k-tuples.
 
 The lane has one gate, _lane_numpy, one pair kernel, _lane_keys, and one
 block walk, _lane_blocks (blocks of rows of about _BLOCK_PAIRS pairs),
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product, repeat, starmap
 from math import gcd, prod
-from operator import add, mod
+from operator import add, mod, sub
 
 from .cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
 from .numeric import (_ARITH, DIFF, INTEGERS, PROD, RATIO, SUM, AmbientRing, CapExceededError, _check_results,
@@ -513,33 +513,25 @@ def _fold_digit_sumset(digits: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(sorted(acc))
 
 
-def _convolve_counts(ring: AmbientRing, keys, counts, values, op: str):
+def _convolve_counts(ring: AmbientRing, keys, counts, values, op: str, cap: int):
     """One step of _fold_counts on the Python route, the count map's oracle:
     the weight of each x op v (mod p over F_p), x of weight count and v in
-    values, as two lists, keys ascending."""
+    values, as two lists, keys ascending.  The pairs come from _pair_keys,
+    one row of len(values) keys per x."""
     out: dict = {}
     get = out.get
-    arith, p = _ARITH[op], ring.modulus
-    # A loop per ring: mapping op, then mod p, over each row in one shared
-    # loop made T_3 of a d=8 power cube about 10% slower (numpy hidden).
-    if p is None:
-        for x, c in zip(keys, counts):
-            for v in values:
-                y = arith(x, v)
-                out[y] = get(y, 0) + c
-    else:
-        for x, c in zip(keys, counts):
-            for v in values:
-                y = arith(x, v) % p
-                out[y] = get(y, 0) + c
+    pairs = _pair_keys(op, FiniteSet(ring, tuple(keys)), FiniteSet(ring, values), cap)
+    for c, row in zip(counts, zip(*[pairs] * len(values))):
+        for y in row:
+            out[y] = get(y, 0) + c
     keys = sorted(out)
     return keys, [out[y] for y in keys]
 
 
 def _fold_counts(A: FiniteSet, op: str, k: int, cap: int):
     """r_{kA}: how many k-tuples of elements of A combine under op (sum or
-    prod, and diff at k = 2 for r_{A-A}) to each element, as (elements,
-    counts), elements ascending, in one loop of k - 1 steps.  A step is the
+    prod) to each element, as (elements, counts), elements ascending, in
+    one loop of k - 1 steps.  A step is the
     count map where the lane opens to the |A|^k k-tuples, which bound every
     step's pairs and counts (fewer than 2^62; 1 < k < 63 keeps the powers
     small where |A| = 1), and over Z to the largest |value| of kA: two
@@ -562,7 +554,7 @@ def _fold_counts(A: FiniteSet, op: str, k: int, cap: int):
             _check_results(ring, op, end if np is None else int(end), top)
         _check_pair_cap(len(keys), len(values), cap)
         if np is None:
-            keys, counts = _convolve_counts(ring, keys, counts, values, op)
+            keys, counts = _convolve_counts(ring, keys, counts, values, op, cap)
         else:
             keys, counts = _lane_map(np, _lane_keys(np, op, keys, values, p, True), len(keys), len(values), counts)
     return keys, counts
@@ -573,16 +565,22 @@ def _as_lists(keys, counts):
     return (keys.tolist(), counts.tolist()) if hasattr(keys, "tolist") else (keys, counts)
 
 
-def _least_pair_count(Q: FiniteSet, plus, minus) -> int:
-    """The least plus(b1 + b2) + minus(b1 - b2) over the ordered pairs of Q:
-    the popular sum/difference split's one pair walk.  A table is (values
-    ascending, counts), and a value missing from it counts 0.  The lane
-    walks _lane_blocks of the sum and difference kernels and looks up with
-    _find; the Python route reads the _pair_keys streams through dict.get."""
-    n = len(Q)
+def _least_pair_count(Q: FiniteSet, plus, minus, shift) -> int:
+    """The least plus(b1 + b2) + minus(b1 - b2 + shift) over the ordered
+    pairs of Q (mod p over F_p): the popular sum/difference split's one pair
+    walk.  A table is (values ascending, counts), and a value missing from
+    it counts 0.  The lane walks _lane_blocks of the sum and difference
+    kernels, with columns b2 - shift, and looks up with _find; the Python
+    route looks the _pair_keys streams up in dicts, minus's values moved by
+    -shift."""
+    n, p = len(Q), Q.ring.modulus
     np = _lane_numpy(Q, Q, n * n, _check_pairs(SUM, Q, Q, DEFAULT_PAIR_CAP)[1])
     if np is None:
-        plus, minus = (dict(zip(*_as_lists(*table))).get for table in (plus, minus))
+        (values, counts), (moved, more) = (_as_lists(*table) for table in (plus, minus))
+        moved = map(sub, moved, repeat(shift))
+        if p is not None:
+            moved = map(mod, moved, repeat(p))
+        plus, minus = dict(zip(values, counts)).get, dict(zip(moved, more)).get
         sums, diffs = (_pair_keys(op, Q, Q, DEFAULT_PAIR_CAP) for op in (SUM, DIFF))
         return min(map(add, map(plus, sums, repeat(0)), map(minus, diffs, repeat(0))))
     # found zeroes a missing value's count; a key past the last value, or any
@@ -594,8 +592,11 @@ def _least_pair_count(Q: FiniteSet, plus, minus) -> int:
         at, found = _find(np, table[0], keys)
         return table[1].take(at) * found
 
-    blocks = (_lane_blocks(np, _lane_keys(np, op, Q.elements, Q.elements, Q.ring.modulus, True), n, n)
-              for op in (SUM, DIFF))
+    # b1 - b2 + shift = b1 - (b2 - shift): the difference kernel takes the
+    # columns moved.  Over Z the split's b2 - w = -(w - b2) lies in -Q.
+    moved = [y - shift if p is None else (y - shift) % p for y in Q.elements]
+    blocks = (_lane_blocks(np, _lane_keys(np, op, Q.elements, ys, p, True), n, n)
+              for op, ys in ((SUM, Q.elements), (DIFF, moved)))
     return min(int((counts_of(tables[0], s) + counts_of(tables[1], d)).min())
                for (_, _, s, _), (_, _, d, _) in zip(*blocks))
 

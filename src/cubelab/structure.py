@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product as iter_product
-from math import log2, sqrt
+from functools import partial
+from itertools import accumulate, product as iter_product
+from math import log2, prod, sqrt
 
 from .cube import (
     ADDITIVE,
@@ -24,17 +25,15 @@ from .cube import (
     symmetry_witness,
 )
 from .energy import energy_pair
-from .numeric import DIFF, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, _scalar_op, mode_ops
+from .numeric import _MAX_BITS, PRIME_FIELD, PROD, RATIO, SUM, CapExceededError, _scalar_op, mode_ops
 from .setops import (DEFAULT_PAIR_CAP, _as_lists, _count_at, _fold_counts, _least_pair_count, _pair_keys,
                      _require_same_ring, pairwise_set)
 
 OLMEZOV_TERM_CAP = 10**9
-# olmezov_sides' side cap: 14000 bits stay under the 4300 digits Python prints.
-_OLMEZOV_SIDE_BITS = 14000
 # olmezov_sides' cap on m, whose shift tuples hold m - 1 entries.  Where a
 # set has two or more elements the side cap already bounds m by this (at
 # worst through (n - s)(m - 1) log2|D|): it binds only where no set does.
-_OLMEZOV_MAX_M = _OLMEZOV_SIDE_BITS + 1
+_OLMEZOV_MAX_M = _MAX_BITS + 1
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class SDDecomposition:
     def coverage_ok(self) -> bool:
         # A pair is covered when its sum is in S or its difference in D.
         S, D = self.sums.elements, self.diffs.elements
-        return _least_pair_count(self.cube_set, (S, [1] * len(S)), (D, [1] * len(D))) > 0
+        return _least_pair_count(self.cube_set, (S, [1] * len(S)), (D, [1] * len(D)), 0) > 0
 
     def sizes_ok(self) -> bool:
         q = len(self.cube_set)
@@ -112,7 +111,9 @@ def sd_popularity_ok(spec: CubeSpec, *, cap: int = DEFAULT_ENUM_CAP) -> bool:
     q_set = enumerate_cube(spec, cap=cap)
     if len(q_set) != len(spec.digits) ** spec.dimension:
         raise ValueError("the pointwise popularity bound is stated for proper cubes")
-    least = _least_pair_count(q_set, *(_fold_counts(q_set, op, 2, DEFAULT_PAIR_CAP) for op in (SUM, DIFF)))
+    # r_{Q-Q}(x) = r_{Q+Q}(x + w), as in sd_decompose.
+    sums = _fold_counts(q_set, SUM, 2, DEFAULT_PAIR_CAP)
+    least = _least_pair_count(q_set, sums, sums, symmetry_witness(spec))
     return least * least >= 4 * len(q_set)
 
 
@@ -169,8 +170,8 @@ def olmezov_sides(
         raise CapExceededError(f"m = {m} exceeds {_OLMEZOV_MAX_M}")
     # sigma <= |A||B|, and the grid sum has at most |A|^m terms of at most |B|^n.
     la, lb, ld = (log2(max(len(X), 1)) for X in (A, B, D))
-    if max(m * n * (la + lb), n * m * la + (n + s * (m - 1)) * lb + (n - s) * (m - 1) * ld) > _OLMEZOV_SIDE_BITS:
-        raise CapExceededError(f"the sides would exceed {_OLMEZOV_SIDE_BITS} bits")
+    if max(m * n * (la + lb), n * m * la + (n + s * (m - 1)) * lb + (n - s) * (m - 1) * ld) > _MAX_BITS:
+        raise CapExceededError(f"the sides would exceed {_MAX_BITS} bits")
     if len(A) ** m * max(len(B), 1) ** s * (m + s) > term_cap:
         raise CapExceededError("shift grid exceeds the term cap")
     comb, undo = _scalar_op(op, ring), _scalar_op(inverse, ring)
@@ -227,27 +228,14 @@ def gmr_check(sets, *, cap: int = DEFAULT_PAIR_CAP, seed: int | None = None) -> 
     k = len(sets)
     if k < 2:
         raise ValueError("need at least two sets")
-    prefix = [sets[0]]
-    for t in sets[1:]:
-        prefix.append(pairwise_set(SUM, prefix[-1], t, cap=cap))
-    suffix = [sets[-1]]
-    for t in reversed(sets[:-1]):
-        suffix.append(pairwise_set(SUM, suffix[-1], t, cap=cap))
-    suffix.reverse()
-    total = prefix[-1]
-    leave_out_sizes = []
-    for j in range(k):
-        if j == 0:
-            s_j = suffix[1]
-        elif j == k - 1:
-            s_j = prefix[k - 2]
-        else:
-            s_j = pairwise_set(SUM, prefix[j - 1], suffix[j + 1], cap=cap)
-        leave_out_sizes.append(len(s_j))
-    lhs = len(total) ** (k - 1)
-    rhs = 1
-    for v in leave_out_sizes:
-        rhs *= v
+    # prefix[j] sums sets[:j + 1] and suffix[j] sums sets[j + 1:].
+    add_sets = partial(pairwise_set, SUM, cap=cap)
+    prefix = list(accumulate(sets, add_sets))
+    suffix = list(accumulate(reversed(sets[1:]), add_sets))[::-1]
+    middle = (add_sets(prefix[j - 1], suffix[j]) for j in range(1, k - 1))
+    leave_out_sizes = [len(s_j) for s_j in (suffix[0], *middle, prefix[k - 2])]
+    lhs = len(prefix[-1]) ** (k - 1)
+    rhs = prod(leave_out_sizes)
     return Verdict(
         name="gmr",
         params={"k": k, "sizes": [len(t) for t in sets], "leave_out": leave_out_sizes},

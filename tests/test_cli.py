@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cubelab import energy
 from cubelab.cli import main
 
 
@@ -291,6 +292,27 @@ def test_cap_exceeded_exit_3(tmp_path, capsys):
     for n in ("2000", "100000000"):
         code, _, err = run_cli(capsys, "verify", "olmezov", str(s), str(s), str(s), "--n", n, "--s", "1", "--m", "3")
         assert code == 3 and err.startswith("cap exceeded:"), (n, err)
+    # The float bounds of qk-bounds leave the float range at these k.
+    for gens, k in (("1,3", "100000"), (",".join(str(3**j) for j in range(10)), "400")):
+        code, out, err = run_cli(capsys, "verify", "qk-bounds", "--gens", gens, "-k", k)
+        assert code == 3 and out == "" and err.startswith("cap exceeded:"), (gens, err)
+
+
+def test_huge_k_exit_3(tmp_path, monkeypatch, capsys):
+    # E_k and T_k are at least |A|^k; T_k also folds in k - 1 steps.  Each is
+    # refused before a count, so no fold may run.
+    def no_fold(*args):
+        raise AssertionError("T_k folded before its caps were checked")
+
+    monkeypatch.setattr(energy, "_fold_counts", no_fold)
+    for name, text in (("one", "0\n"), ("two", "0\n1\n"), ("three", "0\n1\n5\n")):
+        (tmp_path / f"{name}.txt").write_text(text)
+    for name, flag, k in (("one", "--tk", "100000000"), ("two", "--tk", "100000"), ("three", "--k", "100000")):
+        code, out, err = run_cli(capsys, "energy", str(tmp_path / f"{name}.txt"), flag, k)
+        assert code == 3 and out == "" and err.startswith("cap exceeded:"), (name, err)
+    # A singleton's E_k is 1 at any k.
+    code, out, _ = run_cli(capsys, "energy", str(tmp_path / "one.txt"), "--k", "100000000")
+    assert (code, out) == (0, "1\n")
 
 
 def test_sd_pair_cap_exit_3(capsys):

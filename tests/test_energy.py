@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubelab import energy
 from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet
 from cubelab.energy import (
     _brute_pair_energy,
@@ -150,6 +151,27 @@ def test_bad_k_rejected():
         energy_tk(ADDITIVE, Q0145, 0)
 
 
+def test_huge_k_is_refused_before_counting(monkeypatch):
+    # E_k and T_k are at least |A|^k, refused past 14000 bits; T_k also past
+    # k = 14000, as it folds in k - 1 steps.  A singleton's E_k is 1.
+    one, two, three = (FiniteSet.from_iterable(Z, xs) for xs in ([0], [0, 1], [0, 1, 5]))
+    r = Counter(a - b for a in three for b in three)
+    assert energy_k(ADDITIVE, three, 8833).value == sum(c**8833 for c in r.values())  # 3^8833 < 2^14000
+    assert energy_k(ADDITIVE, one, 10**8).value == 1
+    assert energy_tk(ADDITIVE, one, 14000).value == 1
+
+    def no_fold(*args):
+        raise AssertionError("T_k folded before its caps were checked")
+
+    monkeypatch.setattr(energy, "_fold_counts", no_fold)
+    for A, k in ((one, 14001), (one, 10**8), (two, 14001), (three, 8834)):
+        with pytest.raises(CapExceededError, match="exceeds"):
+            energy_tk(ADDITIVE, A, k)
+    for A, k in ((two, 14001), (three, 8834), (three, 10**5)):
+        with pytest.raises(CapExceededError, match="bits"):
+            energy_k(ADDITIVE, A, k)
+
+
 def _power_cube(base, d, h=1):
     return CubeSpec(
         ring=Z, a0=0, generators=tuple(base**j for j in range(d)), digits=tuple(range(h + 1))
@@ -219,6 +241,10 @@ def test_cube_energy_bounds_rejections():
         cube_energy_bounds(
             CubeSpec(ring=Z, a0=0, generators=(1, 9), digits=(0, 2, 3)), 2
         )
+    # q^(2k - 1 - log2(k)/2) and the other bounds pass the float range.
+    for d, k in ((2, 10**5), (10, 400)):
+        with pytest.raises(CapExceededError, match="float range"):
+            cube_energy_bounds(_power_cube(3, d), k)
 
 
 @settings(max_examples=60, deadline=None)

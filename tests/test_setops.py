@@ -769,7 +769,7 @@ def _convolved(A, op, k):
     """r_{kA} by k - 1 steps of _convolve_counts, the oracle of the fold."""
     keys, counts = list(A.elements), [1] * len(A)
     for _ in range(k - 1):
-        keys, counts = setops._convolve_counts(A.ring, keys, counts, A.elements, op)
+        keys, counts = setops._convolve_counts(A.ring, keys, counts, A.elements, op, DEFAULT_PAIR_CAP)
     return dict(zip(keys, counts))
 
 
@@ -864,6 +864,11 @@ def test_fold_lane_keeps_the_caps(route):
         assert len(setops._fold_counts(zset(*range(10)), SUM, 3, 190)[0]) == 28
     # One step before each magnitude error, and two in the fold that passes.
     assert ran == _steps(lane, 4)
+    # The fold's own cap reaches its steps, not the default pair cap.
+    with counting_route(route) as ran, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setops, "DEFAULT_PAIR_CAP", 50)
+        assert len(setops._fold_counts(zset(*range(10)), SUM, 3, 190)[0]) == 28
+    assert ran == _steps(lane, 2)
 
 
 _ratio_values = st.one_of(

@@ -2,6 +2,7 @@
 floor for subsets of cubes, the Hoelder chain, projection bounds for
 k-fold sumsets, and shifted intersections of ratio sets."""
 
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -10,9 +11,9 @@ from itertools import product as iter_product
 
 import pytest
 
-from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet, enumerate_cube
+from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet, enumerate_cube, symmetry_witness
 from cubelab.numeric import AmbientRing, CapExceededError
-from cubelab.setops import DIFF, PROD, SUM, pairwise_set
+from cubelab.setops import DEFAULT_PAIR_CAP, DIFF, PROD, SUM, _fold_counts, _least_pair_count, pairwise_set
 from cubelab.structure import (
     energy_lower_check,
     gmr_check,
@@ -114,6 +115,31 @@ def test_sd_diffs_are_the_brute_force_popular_differences(ring):
             assert ran == ({"_lane_map": 1} if HAVE_NUMPY and force == "lane" else {"_convolve_counts": 1}), spec
 
 
+@pytest.mark.parametrize("ring", [Z, AmbientRing.prime_field(3), F13, F101, AmbientRing.prime_field(2**31 - 1)],
+                         ids=["Z", "F3", "F13", "F101", "F_2^31-1"])
+def test_least_pair_count_reads_differences_off_the_sums(ring):
+    # sd_popularity_ok's walk: r_{Q-Q}(b1 - b2) is read from r_{Q+Q} at
+    # b1 - b2 + w.  Its oracle is the least pointwise sum over the ordered
+    # pairs from two brute-force Counters, on proper and improper cubes with
+    # negative generators and a0, on both routes in blocks of 7 pairs.
+    rng = random.Random(29 + (ring.modulus or 0))
+    hi = 30 if ring.modulus is None else ring.modulus - 1
+    for _ in range(24):
+        gens = [rng.choice([-1, 1]) * rng.randint(1, hi) for _ in range(rng.randint(0, 6))]
+        if ring.modulus is not None:
+            gens = [g for g in gens if g % ring.modulus]
+        spec = cube(gens, a0=rng.randint(-hi, hi), ring=ring)
+        Q = enumerate_cube(spec)
+        plus = Counter(ring.normalize(b1 + b2) for b1 in Q for b2 in Q)
+        minus = Counter(ring.normalize(b1 - b2) for b1 in Q for b2 in Q)
+        expect = min(plus[ring.normalize(b1 + b2)] + minus[ring.normalize(b1 - b2)] for b1 in Q for b2 in Q)
+        for force in ("lane", "python"):
+            with counting_route(force, block_pairs=7) as ran:
+                sums = _fold_counts(Q, SUM, 2, DEFAULT_PAIR_CAP)
+                assert _least_pair_count(Q, sums, sums, symmetry_witness(spec)) == expect, (spec, force)
+            assert ran == _split_walks(HAVE_NUMPY and force == "lane", 1, 1), spec
+
+
 def _split_walks(lane, folds, pair_walks):
     """What the split's one-step folds and pair walks run; a pair walk is seen
     only on the lane, where it walks the sum and the difference kernels."""
@@ -139,7 +165,7 @@ def test_sd_count_map_matches_counters(ring):
                 proper = len(dec.cube_set) == 2**spec.dimension
                 results.append((dec, dec.coverage_ok(), sd_popularity_ok(spec) if proper else None))
             lane = HAVE_NUMPY and force == "lane" and (spec is not edge or ring.modulus)
-            assert ran == _split_walks(lane, 1 + 2 * proper, 1 + proper), (spec, force)
+            assert ran == _split_walks(lane, 1 + proper, 1 + proper), (spec, force)
         assert results[0] == results[1], spec
         assert results[0][1]
 
@@ -389,6 +415,23 @@ def test_gmr_random_instances():
         for t in sets[1:]:
             total = pairwise_set(SUM, total, t)
         assert verdict.lhs == len(total) ** (k - 1)
+        # Each leave-out sum, added up from scratch.
+        sums = [{sum(t) for t in iter_product(*(sets[:j] + sets[j + 1:]))} for j in range(k)]
+        assert verdict.params["leave_out"] == [len(s) for s in sums]
+        assert verdict.rhs == math.prod(len(s) for s in sums)
+
+
+def test_gmr_pairs_within_the_cap():
+    # No pairing the bound needs has more than 59x30 = 1770 pairs; summing
+    # all three sets from the last one (900x30) is not one of them.
+    A = zset(*range(30))
+    rng = random.Random(5)
+    C = zset(*(rng.randrange(10**12) for _ in range(30)))
+    verdict = gmr_check([A, A, C], cap=2000)
+    assert (verdict.lhs, verdict.rhs, verdict.params["leave_out"]) == (3132900, 47790000, [900, 900, 59])
+    assert gmr_check([A, A, C]) == verdict
+    with pytest.raises(CapExceededError, match="59x30 pairs exceed the pair cap 1769"):
+        gmr_check([A, A, C], cap=1769)
 
 
 def test_gmr_needs_two_sets():
