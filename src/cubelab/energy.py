@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations, repeat
+from operator import add, mod, mul
 
 from .cube import ADDITIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
 from .numeric import _MAX_BITS, RATIO, SUM, CapExceededError, mode_ops
@@ -52,39 +53,24 @@ class EnergyReport:
 
 
 def _brute_pair_energy(mode: str, A: FiniteSet, B: FiniteSet) -> int:
-    """Quadruple count by direct search; the fourth element is solved for."""
-    ring = A.ring
-    p = ring.modulus
-    total = 0
-    if mode == ADDITIVE:
-        for a1 in A.elements:
-            for b1 in B.elements:
-                x = a1 + b1
-                for a2 in A.elements:
-                    b2 = (x - a2) % p if p is not None else x - a2
-                    if b2 in B:
-                        total += 1
-        return total
-    # divmod floors on Fractions, and with a Fraction in B even a quotient of
-    # two ints may lie in B, so such sets divide exactly.
-    exact = any(isinstance(v, Fraction) for v in A.elements + B.elements)
-    # Over F_p each nonzero a2 is inverted once, not once per (a1, b1).
-    inverses = {a2: pow(a2, -1, p) for a2 in A.elements if a2} if p is not None else {}
-    for a1 in A.elements:
-        for b1 in B.elements:
-            x = a1 * b1 if p is None else (a1 * b1) % p
-            for a2 in A.elements:
-                if a2 == 0:
-                    if x == 0:
-                        total += len(B)
-                    continue
-                if p is None:
-                    q, r = (Fraction(x, a2), 0) if exact else divmod(x, a2)
-                    if r == 0 and q in B:
-                        total += 1
-                else:
-                    if (x * inverses[a2]) % p in B:
-                        total += 1
+    """Quadruple count by intersecting images a op B, pair by pair.
+
+    b -> a op b is one to one for every a when adding and for a != 0 when
+    multiplying (over Z, on Fractions and over F_p), so each common value
+    of a1 op B and a2 op B is exactly one quadruple.  A zero a1 = a2 matches
+    all |B|^2 pairs (b1, b2), and a zero beside a nonzero a matches only b = 0.
+    """
+    p = A.ring.modulus
+    op = add if mode == ADDITIVE else mul
+    rows = []
+    for a in A.elements:
+        if a or mode == ADDITIVE:
+            image = map(op, repeat(a), B.elements)
+            rows.append(frozenset(image if p is None else map(mod, image, repeat(p))))
+    n = len(B)
+    total = len(rows) * n + 2 * sum(len(r & s) for r, s in combinations(rows, 2))
+    if len(rows) < len(A):  # a = 0 was left out
+        total += n * n + 2 * len(rows) * n * (0 in B)
     return total
 
 
@@ -100,8 +86,11 @@ def energy_pair(
     Additive: computed as sum r_{A+B}^2 and cross-checked against
     sum r_{A-B}^2.  Multiplicative: computed over the product set; the
     ratio-set route only counts quadruples with nonzero b's, so it is used
-    as a cross-check exactly when 0 is not in B.  Small inputs get a third,
-    brute-force pass.
+    as a cross-check exactly when 0 is not in B.  Inputs of at most
+    BRUTE_FORCE_THRESHOLD pairs get a third pass, independent of setops:
+    the quadruples are counted as common values of the images a1 op B and
+    a2 op B, one frozenset intersection per pair (a1, a2), so |A|^2 |B|
+    membership tests in all.
     """
     if B is None:
         B = A
@@ -144,6 +133,12 @@ def energy_tk(mode: str, A: FiniteSet, k: int, *, cap: int = DEFAULT_PAIR_CAP) -
     # T_k >= |A|^k, and its fold walks k - 1 steps: both are capped by _MAX_BITS.
     if k * max(1, math.log2(max(len(A), 1))) > _MAX_BITS:
         raise CapExceededError(f"T_k of {len(A)} elements at k = {k} exceeds {_MAX_BITS} bits or steps")
+    # Cauchy-Schwarz: T_k >= |A|^(2k)/|kA|, and |kA| is at most the number
+    # C(|A|+k-1, k) of k-multisets; past the cap above these powers would pass 2^28000.
+    if len(A) ** (2 * k) > math.comb(len(A) + k - 1, k) << _MAX_BITS:
+        raise CapExceededError(
+            f"T_k >= |A|^(2k)/C(|A|+k-1, k) of {len(A)} elements at k = {k} exceeds {_MAX_BITS} bits"
+        )
     op = mode_ops(mode)[0]
     if k == 2:
         value = _power_sum(op, A, A, cap, 2)

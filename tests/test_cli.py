@@ -299,15 +299,22 @@ def test_cap_exceeded_exit_3(tmp_path, capsys):
 
 
 def test_huge_k_exit_3(tmp_path, monkeypatch, capsys):
-    # E_k and T_k are at least |A|^k; T_k also folds in k - 1 steps.  Each is
-    # refused before a count, so no fold may run.
+    # E_k and T_k are at least |A|^k; T_k also folds in k - 1 steps, and is at
+    # least |A|^(2k)/C(|A|+k-1, k), which for {0, 1} at k = 7500 passes the
+    # 14000 bits of a printable count.  Each is refused before a count, so no
+    # fold may run.
     def no_fold(*args):
         raise AssertionError("T_k folded before its caps were checked")
 
     monkeypatch.setattr(energy, "_fold_counts", no_fold)
     for name, text in (("one", "0\n"), ("two", "0\n1\n"), ("three", "0\n1\n5\n")):
         (tmp_path / f"{name}.txt").write_text(text)
-    for name, flag, k in (("one", "--tk", "100000000"), ("two", "--tk", "100000"), ("three", "--k", "100000")):
+    for name, flag, k in (
+        ("one", "--tk", "100000000"),
+        ("two", "--tk", "7500"),
+        ("two", "--tk", "100000"),
+        ("three", "--k", "100000"),
+    ):
         code, out, err = run_cli(capsys, "energy", str(tmp_path / f"{name}.txt"), flag, k)
         assert code == 3 and out == "" and err.startswith("cap exceeded:"), (name, err)
     # A singleton's E_k is 1 at any k.

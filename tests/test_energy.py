@@ -9,7 +9,7 @@ from operator import add, mul
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubelab import energy
@@ -28,6 +28,7 @@ from cubelab.numeric import AmbientRing, CapExceededError
 from cubelab.setops import DIFF, iterate_prod, pairwise_set
 
 Z = AmbientRing.integers()
+F3 = AmbientRing.prime_field(3)
 F13 = AmbientRing.prime_field(13)
 F101 = AmbientRing.prime_field(101)
 
@@ -136,6 +137,50 @@ def test_energy_over_prime_field():
                 assert energy_pair(mode, A, B).value == expect
 
 
+def _four_loop_energy(mode, A, B):
+    """The pair energy as defined: every quadruple (a1, b1, a2, b2), tested."""
+    op = add if mode == ADDITIVE else mul
+    p = A.ring.modulus
+
+    def value(a, b):
+        return op(a, b) if p is None else op(a, b) % p
+
+    return sum(value(a1, b1) == value(a2, b2) for a1, b1, a2, b2 in product(A, B, A, B))
+
+
+@st.composite
+def _set_pairs(draw):
+    """Two independent sets of one ring: Z with negatives and Fractions, or
+    F_3, F_13, F_101; each empty, a singleton or larger, with 0 forced in or not."""
+    ring = draw(st.sampled_from([Z, F3, F13, F101]))
+    if ring.modulus is None:
+        element = st.one_of(
+            st.integers(-12, 12), st.fractions(min_value=-6, max_value=6, max_denominator=5)
+        )
+    else:
+        element = st.integers(0, ring.modulus - 1)
+    A, B = (
+        FiniteSet.from_iterable(ring, draw(st.lists(element, max_size=8)) + [0] * draw(st.booleans()))
+        for _ in range(2)
+    )
+    return A, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(_set_pairs(), st.sampled_from([ADDITIVE, MULTIPLICATIVE]))
+@example((FiniteSet.from_iterable(Z, []), Q0145), MULTIPLICATIVE)
+@example((FiniteSet.from_iterable(Z, [0]), FiniteSet.from_iterable(Z, [0, 3])), MULTIPLICATIVE)
+@example(
+    (FiniteSet.from_iterable(Z, [-2, 0, Fraction(1, 2)]), FiniteSet.from_iterable(Z, [0, Fraction(-2, 3), 4])),
+    MULTIPLICATIVE,
+)
+@example((FiniteSet.from_iterable(F3, [0, 2]), FiniteSet.from_iterable(F3, [0, 1, 2])), MULTIPLICATIVE)
+def test_brute_pair_energy_matches_four_loops(sets, mode):
+    # The image-intersection search against the literal quadruple count.
+    A, B = sets
+    assert _brute_pair_energy(mode, A, B) == _four_loop_energy(mode, A, B)
+
+
 def test_multiplicative_tk_over_prime_field_counts_k_tuples():
     # T_k over F_p multiplies residues: the F_p loop of the product convolution.
     A = FiniteSet.from_iterable(F13, [0, 1, 2, 5, 7])
@@ -153,7 +198,9 @@ def test_bad_k_rejected():
 
 def test_huge_k_is_refused_before_counting(monkeypatch):
     # E_k and T_k are at least |A|^k, refused past 14000 bits; T_k also past
-    # k = 14000, as it folds in k - 1 steps.  A singleton's E_k is 1.
+    # k = 14000, as it folds in k - 1 steps, and where its Cauchy-Schwarz
+    # bound |A|^(2k)/C(|A|+k-1, k) passes 14000 bits: for {0, 1} that is
+    # 2^(2k)/(k + 1), from k = 7007 on.  A singleton's E_k is 1.
     one, two, three = (FiniteSet.from_iterable(Z, xs) for xs in ([0], [0, 1], [0, 1, 5]))
     r = Counter(a - b for a in three for b in three)
     assert energy_k(ADDITIVE, three, 8833).value == sum(c**8833 for c in r.values())  # 3^8833 < 2^14000
@@ -164,7 +211,7 @@ def test_huge_k_is_refused_before_counting(monkeypatch):
         raise AssertionError("T_k folded before its caps were checked")
 
     monkeypatch.setattr(energy, "_fold_counts", no_fold)
-    for A, k in ((one, 14001), (one, 10**8), (two, 14001), (three, 8834)):
+    for A, k in ((one, 14001), (one, 10**8), (two, 7007), (two, 7500), (two, 14001), (three, 8834)):
         with pytest.raises(CapExceededError, match="exceeds"):
             energy_tk(ADDITIVE, A, k)
     for A, k in ((two, 14001), (three, 8834), (three, 10**5)):
