@@ -35,7 +35,7 @@ from .cube import (
 )
 from .energy import energy_pair
 from .floors import clears_floor
-from .numeric import INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError, _check, _parse_json
+from .numeric import _MAX_BITS, INTEGERS, PRIME_FIELD, AmbientRing, CapExceededError, _check, _parse_json
 from .setops import DEFAULT_PAIR_CAP, DIFF, PROD, RATIO, SUM, _product_powers, pairwise_size
 
 TARGET_OPS = {"QQ": PROD, "Q/Q": RATIO, "Q+Q": SUM, "Q-Q": DIFF}
@@ -309,11 +309,14 @@ def conjecture_probe(
     """Smallest n <= n_max with |Q^n| >= |Q|^m, walking Q, Q^2, Q^3, ...
 
     A cap overflow mid-trajectory keeps the prefix and flags the record.
+    A target |Q|^m past _MAX_BITS raises CapExceededError before it is built.
     """
     if m < 1 or n_max < 1:
         raise ValueError("m and n_max must be at least 1")
     start = time.perf_counter()
     size_q = len(Q)
+    if size_q > 1 and m * math.log2(size_q) > _MAX_BITS:
+        raise CapExceededError(f"|Q|^m = {size_q}^{m} exceeds {_MAX_BITS} bits")
     target = size_q**m
     measured: dict = {"|Q|": size_q, "target": target}
     flag = "not_reached"

@@ -10,7 +10,8 @@ which streams a op b over the pairs: a Counter of the stream gives
 multiplicities, a set gives values.  A ratio over Z is keyed on its
 reduced (num, den), for rationals too: n/d over m/e is (n e, d m) reduced,
 so no Fraction is built per pair, only one per distinct value by the
-callers that need values.
+callers that need values.  The one walk that forms no pairs is the Q^n
+walk, _product_powers, which forms the products of multisets of Q.
 
 Sizes and energies are counted by one seam, _power_sum(op, A, B, cap, k),
 the sum over x of r(x)^k as an exact int: k = 0 is |A op B|
@@ -61,9 +62,9 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, product, repeat, starmap
+from itertools import chain, combinations, combinations_with_replacement, islice, product, repeat, starmap
 from math import gcd, prod
-from operator import add, mod, sub
+from operator import add, mod, mul, sub
 
 from .cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, DEFAULT_ENUM_CAP, FiniteSet, enumerate_cube
 from .numeric import (_ARITH, DIFF, INTEGERS, PROD, RATIO, SUM, AmbientRing, CapExceededError, _check_results,
@@ -636,7 +637,8 @@ def iterate_sum(
 
 
 def iterate_prod(Q: FiniteSet, n: int, *, cap: int = DEFAULT_PAIR_CAP) -> FiniteSet:
-    """n-fold product set Q^(n) = Q * ... * Q.
+    """n-fold product set Q^(n) = Q * ... * Q, from _product_powers: only
+    the last step is sorted into a FiniteSet, and Q^(1) is Q itself.
 
     On a cap overflow the raised error carries .largest_n and .sizes for
     the prefix that did complete.
@@ -648,7 +650,7 @@ def iterate_prod(Q: FiniteSet, n: int, *, cap: int = DEFAULT_PAIR_CAP) -> Finite
         for power in _product_powers(Q, cap):
             sizes.append(len(power))
             if len(sizes) == n:
-                return power
+                return Q if n == 1 else FiniteSet(Q.ring, tuple(sorted(power)))
     except CapExceededError as exc:
         exc.largest_n = len(sizes)
         exc.sizes = sizes
@@ -656,12 +658,43 @@ def iterate_prod(Q: FiniteSet, n: int, *, cap: int = DEFAULT_PAIR_CAP) -> Finite
 
 
 def _product_powers(Q: FiniteSet, cap: int):
-    """Q, Q^(2), Q^(3), ... without end: each step is pairwise_set(PROD, last,
-    Q), so a step past the pair or magnitude cap raises CapExceededError."""
-    power = Q
+    """The value sets of Q, Q^(2), Q^(3), ... without end, as plain sets
+    (mod p over F_p): neither sorted nor made FiniteSets.
+
+    Q^(n) is the set of products of the n-multisets of Q.  Pass n sweeps Q
+    once, from its largest element b down, and multiplies b into the
+    products of the (n-1)-multisets of the elements >= b, so that each
+    n-multiset's product is formed at its least element.  Pass n - 1 had
+    reached exactly those products when it passed b: a pass lists its
+    values in the order it first reached them, with the count reached at
+    each b, and the next pass reads prefixes of that list.  So a pass
+    forms at most |Q^(n-1)| products per b, where pairwise_set(PROD,
+    Q^(n-1), Q) forms exactly that many, and never sorts.
+
+    Before pass n the caps read sizes alone: the pair cap |Q^(n-1)| |Q|
+    and, over Z, the magnitude cap max|Q|^(n-1) max|Q|, exact as
+    max|Q^k| = max|Q|^k.  So a pass raises the CapExceededError of that
+    pairwise_set call, at the same n and with the same message.
+    """
+    ring, p, elements = Q.ring, Q.ring.modulus, Q.elements[::-1]
+    top = max(map(abs, elements), default=None) if ring.kind == INTEGERS else None
+    reach = top
+    power, order, ends = set(elements), elements, range(1, len(elements) + 1)
     while True:
         yield power
-        power = pairwise_set(PROD, power, Q, cap=cap)
+        _check_pair_cap(len(power), len(elements), cap)
+        if top is not None:
+            _check_results(ring, PROD, reach, top)
+            reach *= top
+        last, power, order, reached = order, set(), [], []
+        for b, end in zip(elements, ends):
+            products = map(mul, islice(last, end), repeat(b))
+            for x in products if p is None else map(mod, products, repeat(p)):
+                if x not in power:
+                    power.add(x)
+                    order.append(x)
+            reached.append(len(order))
+        ends = reached
 
 
 @dataclass(frozen=True)

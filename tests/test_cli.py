@@ -322,6 +322,27 @@ def test_huge_k_exit_3(tmp_path, monkeypatch, capsys):
     assert (code, out) == (0, "1\n")
 
 
+def test_conjecture_huge_m_exit_3(tmp_path, monkeypatch, capsys):
+    # The target |Q|^m of 4 elements has 2m bits: 14000 bits at m = 7000
+    # still print, and m = 10^6 is refused before the power is built, in a
+    # campaign too, whose log keeps the records finished before it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A.txt").write_text("2\n3\n5\n7\n")
+    code, out, err = run_cli(capsys, "conjecture", "--set", "A.txt", "-m", "1000000", "--n-max", "3")
+    assert code == 3 and out == "" and err == "cap exceeded: |Q|^m = 4^1000000 exceeds 14000 bits\n", err
+    code, out, err = run_cli(capsys, "conjecture", "--set", "A.txt", "-m", "7000", "--n-max", "3")
+    record = json.loads(out)
+    assert code == 0 and err == "" and record["flag"] == "not_reached", err
+    assert record["measured"]["target"] == str(4**7000) and record["measured"]["|Q^3|"] == "20"
+    config = {"experiments": ["growth_additive", "conjecture_probe"], "dRange": [2, 2], "includeIntegers": True,
+              "conjecture": {"m": 1000000}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "campaign", "run", "config.json", "--log", "log.jsonl")
+    assert code == 3 and out == "" and err.startswith("cap exceeded: |Q|^m = 4^1000000"), err
+    assert [json.loads(line)["name"] for line in (tmp_path / "log.jsonl").read_text().splitlines()] == [
+        "growth_additive"]
+
+
 def test_sd_pair_cap_exit_3(capsys):
     # 14 generators give 2^14 elements, whose 2^28 pairs pass the 2^26 pair cap.
     gens = ",".join(str(3**j) for j in range(14))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubelab import setops
+from cubelab import experiments, setops
 from cubelab.cube import ADDITIVE, MULTIPLICATIVE, CubeSpec, FiniteSet, enumerate_cube
 from cubelab.energy import energy_tk, partition_count
 from cubelab.numeric import AmbientRing, CapExceededError, mode_ops
@@ -299,8 +299,74 @@ def test_iterate_prod_cap_carries_prefix():
     Q = FiniteSet.from_iterable(tight, [2, 3, 5])
     with pytest.raises(CapExceededError) as exc_info:
         iterate_prod(Q, 9)
-    assert exc_info.value.largest_n >= 1
-    assert exc_info.value.sizes[0] == 3
+    # Q^(2) tops out at 25; Q^(3) would reach 125.
+    assert exc_info.value.largest_n == 2
+    assert exc_info.value.sizes == [3, 6]
+
+
+def _pairwise_powers(Q, cap):
+    """The oracle of setops._product_powers: Q, Q^(2), ... as steps of
+    pairwise_set(PROD, last, Q), which check both caps on each step."""
+    power = Q
+    while True:
+        yield power
+        power = pairwise_set(PROD, power, Q, cap=cap)
+
+
+def _walked(walk, Q, cap, n_max):
+    """The sorted values of Q^(1..n_max) along a walk, then its cap error's
+    message if it raised one."""
+    steps = []
+    try:
+        for _, power in zip(range(n_max), walk(Q, cap)):
+            steps.append(sorted(power))
+    except CapExceededError as exc:
+        steps.append(str(exc))
+    return steps
+
+
+def _with_walk(walk, run):
+    """run() with iterate_prod and conjecture_probe walking walk; an error
+    it raises is returned."""
+    saved = setops._product_powers
+    setops._product_powers = experiments._product_powers = walk
+    try:
+        return run()
+    except CapExceededError as exc:
+        return exc
+    finally:
+        setops._product_powers = experiments._product_powers = saved
+
+
+_POWER_RINGS = [Z, AmbientRing.integers(magnitude_cap=60), AmbientRing.integers(magnitude_cap=2000),
+                AmbientRing.prime_field(3), AmbientRing.prime_field(5), AmbientRing.prime_field(10007)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_powers_match_pairwise_steps(data):
+    # The multiset sweep against the steps it replaced: the same values at
+    # every n, and the same cap error at the same n, over Z (0, negatives,
+    # Fractions, tight magnitude caps) and over F_3, F_5 and F_10007.
+    ring = data.draw(st.sampled_from(_POWER_RINGS))
+    p = ring.modulus
+    values = data.draw(st.lists(st.integers(-12, 12) if p is None else st.integers(0, p - 1), max_size=9))
+    if p is None and data.draw(st.booleans()):
+        values += data.draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=3))
+    Q = FiniteSet.from_iterable(ring, values)
+    cap = data.draw(st.sampled_from([1, 12, 60, 400, DEFAULT_PAIR_CAP]))
+    assert _walked(setops._product_powers, Q, cap, 6) == _walked(_pairwise_powers, Q, cap, 6)
+    n = data.draw(st.integers(1, 6))
+    got, expect = (_with_walk(walk, lambda: iterate_prod(Q, n, cap=cap))
+                   for walk in (setops._product_powers, _pairwise_powers))
+    if isinstance(expect, CapExceededError):
+        assert (str(got), got.largest_n, got.sizes) == (str(expect), expect.largest_n, expect.sizes)
+    else:
+        assert got.elements == expect.elements and (n > 1 or got is Q)
+    m = data.draw(st.integers(1, 4))
+    got, expect = (_with_walk(walk, lambda: experiments.conjecture_probe(Q, m, 6, pair_cap=cap))
+                   for walk in (setops._product_powers, _pairwise_powers))
+    assert (got.measured, got.flag) == (expect.measured, expect.flag)
 
 
 def test_correlation_arity_two_is_difference_count():
